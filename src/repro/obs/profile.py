@@ -2,21 +2,21 @@
 
 The profile is **integer op-execution counts keyed by raw opcode** (plus
 an engine-specific variant bit: JS packs the tier into bits 8+, native
-packs the vector flag into bit 8).  Both interpreter tiers execute the
-same abstract op stream, so counting ops — never cycles — makes the
-profile bit-identical under ``REPRO_FAST_INTERP=0`` and ``=1``: the
+packs the vector flag into bit 8).  Both execution tiers run the same
+abstract op stream, so counting ops — never cycles — makes the profile
+bit-identical under ``REPRO_FAST_INTERP=0`` and the default: the
 reference ladders bump a per-op cell at the charge site, while the
-threaded tier applies precomputed per-block ``(op, count)`` deltas at
-its existing batch point.  Cycles per opclass are *derived* afterwards
-from the static cost tables (``repro.engine.profdecode``).
+generated code adds precomputed per-block ``(op, count)`` deltas at its
+existing batch point.  Cycles per opclass are *derived* afterwards from
+the static cost tables (``repro.engine.profdecode``).
 
 When profiling is off (the default) ``new_profile`` returns ``None`` and
-the engines' hot loops pay one pointer test per frame (reference) or per
-block (threaded) — nothing per op.
+the engines' hot loops pay one pointer test per frame (reference) or
+nothing at all (generated code is emitted without profile statements).
 
-Granularity caveat: the threaded tier attributes a whole block at its
-batch point, so a *trapping* block's ops up to the trap are not counted
-there (the reference ladder counts them exactly).  The measured
+Granularity caveat: the codegen tier attributes a whole block at its
+batch point, so a *trapping* block is counted as a whole there (the
+reference ladder counts exactly up to the trap).  The measured
 benchmarks never trap; the wasm budget deopt is exact on both tiers
 because the deopt check precedes the block charge.
 """

@@ -1,12 +1,12 @@
 """Codegen-tier invariants beyond the differential suites: dispatch
-completeness checked against the cost tables, budget-deopt resume
-mid-frame on the wasm VM, GC-pause parity on the JS engine, and
-cold-vs-warm compile-cache runs replaying identical DET counters.
+completeness checked against the cost tables, declined functions running
+on the reference ladder, budget-deopt resume mid-frame on the wasm VM,
+GC-pause parity on the JS engine, and cold-vs-warm compile-cache runs
+replaying identical DET counters.
 
-The three tiers under test (see ``engine/codegen.py``)::
+The two tiers under test (see ``engine/codegen.py``)::
 
     REPRO_FAST_INTERP=0   reference ladders (differential oracle)
-    REPRO_CODEGEN=0       threaded closures
     default               generated Python (codegen tier)
 """
 
@@ -20,16 +20,11 @@ from repro.engine import codegen as substrate
 from repro.errors import TrapError
 from repro.obs import DET, SCHED, get_registry, reset_registry
 
-TIERS = ("ref", "threaded", "codegen")
-
-_TIER_ENV = {"ref": ("0", "0"), "threaded": ("1", "0"),
-             "codegen": ("1", "1")}
+TIERS = ("ref", "codegen")
 
 
 def _set_tier(monkeypatch, tier):
-    fast, codegen = _TIER_ENV[tier]
-    monkeypatch.setenv("REPRO_FAST_INTERP", fast)
-    monkeypatch.setenv("REPRO_CODEGEN", codegen)
+    monkeypatch.setenv("REPRO_FAST_INTERP", "0" if tier == "ref" else "1")
 
 
 def _stats_dict(stats):
@@ -44,52 +39,76 @@ def _stats_dict(stats):
 # Dispatch completeness vs the cost tables.
 
 class TestDispatchCompleteness:
-    """Every opcode an engine's cost/class tables price must be handled
-    by its threaded tier and therefore translatable by its codegen tier
-    (the translators walk the threaded tier's own tables)."""
+    """Every opcode an engine's cost/class tables price must be
+    translatable by its codegen tier."""
 
     def test_js_tables_cover_supported_ops(self):
-        from repro.jsengine import threaded as jt
+        from repro.jsengine import codegen as jcg
         from repro.jsengine.bytecode import (
             JS_OP_CLASS, JS_OP_COST, JS_OP_COST_OPT, JsOp)
 
         n = max(JsOp) + 1
         assert len(JS_OP_COST) == len(JS_OP_COST_OPT) == len(JS_OP_CLASS) == n
-        # COMMA is the one priced opcode the compiler never emits; both
-        # fast tiers refuse it loudly (see test below) rather than
+        # COMMA is the one priced opcode the compiler never emits; the
+        # codegen tier refuses it loudly (see test below) rather than
         # mispricing it silently.
-        assert jt.SUPPORTED_OPS == set(range(n)) - {JsOp.COMMA}
-        for op in jt.SUPPORTED_OPS:
+        assert jcg.SUPPORTED_OPS == set(range(n)) - {JsOp.COMMA}
+        for op in jcg.SUPPORTED_OPS:
             assert JS_OP_COST[op] > 0.0
             assert JS_OP_COST_OPT[op] > 0.0
 
-    def test_js_codegen_shadow_table_in_lockstep(self):
+    def test_js_codegen_shadow_table_in_lockstep(self, monkeypatch):
+        """Every pure binop has a shadow-write kind the emitter knows,
+        every bound value function belongs to a pure binop, and each
+        binop's generated code computes the reference ladder's value
+        (and stats) from mixed operand types."""
         from repro.jsengine import codegen as jcg
-        from repro.jsengine import threaded as jt
+        from repro.jsengine.engine import JsEngine
+        from repro.jsengine.interpreter import execute
+        from repro.jsengine.values import JSFunction, UNDEFINED
 
-        # The translator derives its shadow-write emission kinds from the
-        # threaded tier's writer table; a new writer there must fail the
-        # derivation, not silently skip the op.
-        assert set(jcg._SHADOW_KIND) == set(jt._SHADOW_BIN)
+        assert set(jcg._SHADOW_KIND.values()) <= {
+            "ab", "ab_num", "b", "b_num", "shl"}
+        assert set(jcg._VALUE_FNS) <= set(jcg._SHADOW_KIND)
+        operands = [(6.0, 4.0), (-0.0, 0.0), (7.5, -0.0), ("ab", "b"),
+                    ("7", 2.0), (None, 1.0), (3.0, True)]
+
+        def run(code):
+            engine = JsEngine()
+            fn = JSFunction("binop", [], code, [], 0)
+            try:
+                value = ("ok", repr(execute(engine, fn, [], UNDEFINED)))
+            except Exception as exc:      # noqa: BLE001 - compared below
+                value = ("raise", type(exc).__name__, str(exc))
+            return value, _stats_dict(engine.stats)
+
+        for op in sorted(jcg._SHADOW_KIND):
+            for a, b in operands:
+                code = [(0, a), (0, b), (op, None), (33, None)]
+                runs = {}
+                for tier in TIERS:
+                    _set_tier(monkeypatch, tier)
+                    runs[tier] = run(code)
+                assert runs["ref"] == runs["codegen"], (op, a, b)
 
     def test_wasm_tables_cover_supported_ops(self):
-        from repro.wasm import threaded as wt
+        from repro.wasm import codegen as wcg
         from repro.wasm.instructions import OP_CLASS, OP_COST, Op
 
         n = max(Op) + 1
         assert len(OP_COST) == len(OP_CLASS) == n
-        for op in wt.SUPPORTED_OPS:
+        for op in wcg.SUPPORTED_OPS:
             assert 0 <= op < n
             # UNREACHABLE is priced at zero on purpose: it only ever traps.
             assert OP_COST[op] > 0.0 or op == Op.UNREACHABLE
 
     def test_native_tables_cover_supported_ops(self):
-        from repro.native import threaded as nt
+        from repro.native import codegen as ncg
         from repro.native.machine import N_COST, N_OP_CLASS, NOp
 
         n = max(NOp) + 1
         assert len(N_COST) == len(N_OP_CLASS) == n
-        for op in nt.SUPPORTED_OPS:
+        for op in ncg.SUPPORTED_OPS:
             assert 0 <= op < n
             assert N_COST[op] > 0.0
 
@@ -150,6 +169,88 @@ class TestDispatchCompleteness:
 
 
 # ---------------------------------------------------------------------------
+# Declines: a function the translator cannot lower (here: a join block
+# entered at two operand-stack depths, which compiler output never
+# produces) runs whole on the reference ladder, exact by construction.
+
+def _split_depth_wasm(monkeypatch, tier):
+    """Run a hand-built wasm function whose join block is entered at
+    depth 1 (``if`` false edge) and depth 2 (``br`` from the then-arm)."""
+    from repro.wasm import (
+        FuncType, Function, WasmModule, WasmVM, validate_module,
+    )
+    from repro.wasm.instructions import Op, instr as I
+
+    _set_tier(monkeypatch, tier)
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    module = WasmModule()
+    module.add_function(Function("main", FuncType(("i32",), ("i32",)), [],
+                                 [I(Op.I32_CONST, 0)], exported=True))
+    validate_module(module)
+    reset_registry()
+    inst = WasmVM().instantiate(module)
+    inst._prepared["main"].code = [
+        (int(Op.I32_CONST), 5, None),     # 0: depth 1
+        (int(Op.LOCAL_GET), 0, None),     # 1: depth 2
+        (int(Op.IF), 5, None),            # 2: false -> 5 at depth 1
+        (int(Op.I32_CONST), 7, None),     # 3: depth 2
+        (int(Op.BR), 5, None),            # 4: -> 5 at depth 2
+        (int(Op.RETURN), None, None),     # 5: the join
+    ]
+    results = [inst.invoke("main", arg) for arg in (0, 1, 1)]
+    declined = get_registry().export([SCHED]).get(
+        "interp.wasm.codegen_declined", 0)
+    reset_registry()
+    return (results, _stats_dict(inst.stats),
+            inst._profile.to_dict()), declined
+
+
+def _split_depth_js(monkeypatch, tier):
+    """The same shape as JS bytecode: ``JF`` leaves depth 1 at the join,
+    the fall-through arm's ``JMP`` arrives at depth 2."""
+    from repro.jsengine.engine import JsEngine
+    from repro.jsengine.interpreter import execute
+    from repro.jsengine.values import JSFunction, UNDEFINED
+
+    _set_tier(monkeypatch, tier)
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    reset_registry()
+    engine = JsEngine()
+    fn = JSFunction("split", ["x"], [
+        (0, 5.0),                         # 0: CONST, depth 1
+        (1, 0),                           # 1: LOADL x, depth 2
+        (28, 5),                          # 2: JF -> 5 at depth 1
+        (0, 7.0),                         # 3: CONST, depth 2
+        (27, 5),                          # 4: JMP -> 5 at depth 2
+        (33, None),                       # 5: RET (the join)
+    ], [], 1)
+    results = [repr(execute(engine, fn, [arg], UNDEFINED))
+               for arg in (0.0, 1.0, 1.0)]
+    declined = get_registry().export([SCHED]).get(
+        "interp.js.codegen_declined", 0)
+    reset_registry()
+    return (results, _stats_dict(engine.stats),
+            engine._profile.to_dict()), declined
+
+
+class TestDeclinedFunctions:
+    @pytest.mark.parametrize("run", [_split_depth_wasm, _split_depth_js],
+                             ids=["wasm", "js"])
+    def test_decline_runs_reference_ladder_exactly(self, monkeypatch, run):
+        ref, ref_declined = run(monkeypatch, "ref")
+        cg, cg_declined = run(monkeypatch, "codegen")
+        assert ref_declined == 0              # the oracle never translates
+        # Declined once, then pinned: later calls skip the translator.
+        assert cg_declined == 1
+        results, stats, profile = cg
+        assert results[0] != results[1]       # both join depths taken
+        # Result, op_counts, cycles and the per-function profile all
+        # equal the reference run's.
+        assert cg == ref
+        assert profile["calls"] and any(profile["ops"].values())
+
+
+# ---------------------------------------------------------------------------
 # Budget deopt: the generated code checks the remaining instruction
 # budget at block entry and bails to the per-op reference loop mid-frame
 # (``run_from``) when the block would overrun it.
@@ -202,7 +303,7 @@ class TestBudgetDeoptResume:
         exported = get_registry().export([SCHED])
         reset_registry()
         assert runs["ref"][0][0] == "ok"
-        assert runs["ref"] == runs["threaded"] == runs["codegen"]
+        assert runs["ref"] == runs["codegen"]
         # An exact budget never enters a block short: no deopt taken.
         assert exported.get("interp.wasm.codegen_deopts", 0) == 0
 
@@ -220,10 +321,10 @@ class TestBudgetDeoptResume:
         kind, message = runs["ref"][0]
         assert kind == "trap" and "instruction budget exhausted" in message
         # Identical trap point, stats (instructions, cycles, op_counts)
-        # and partial host output across all three tiers: the generated
-        # frame handed its locals and operand stack to ``run_from``
-        # mid-frame and the reference loop finished the accounting.
-        assert runs["ref"] == runs["threaded"] == runs["codegen"]
+        # and partial host output across both tiers: the generated frame
+        # handed its locals and operand stack to ``run_from`` mid-frame
+        # and the reference loop finished the accounting.
+        assert runs["ref"] == runs["codegen"]
         assert exported["interp.wasm.codegen_deopts"] > 0
 
     def test_budget_restored_between_invokes(self, cheerp, monkeypatch):
@@ -239,7 +340,7 @@ class TestBudgetDeoptResume:
 
 # ---------------------------------------------------------------------------
 # GC-pause parity on the JS engine: the generated frames must present
-# the same live set to the collector as the threaded closures, so pause
+# the same live set to the collector as the reference frames, so pause
 # cycles (charged from live bytes) stay bit-identical.
 
 GC_JS = r"""
@@ -276,9 +377,7 @@ class TestJsGcPauseParity:
         runs = {tier: self._run(monkeypatch, tier) for tier in TIERS}
         _out, stats = runs["ref"]
         assert int(stats["gc_runs"]) > 0        # the program must collect
-        assert runs["ref"] == runs["threaded"] == runs["codegen"]
-        assert stats["gc_pause_cycles"] == \
-            runs["codegen"][1]["gc_pause_cycles"]
+        assert runs["ref"] == runs["codegen"]
 
 
 # ---------------------------------------------------------------------------

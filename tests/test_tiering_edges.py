@@ -1,11 +1,11 @@
-"""Tiering edge cases, differential across the three interpreter tiers.
+"""Tiering edge cases, differential across the two interpreter tiers.
 
 The promotion machinery has sharp corners — contradictory enable flags,
 degenerate hotness thresholds, tier-up landing exactly on the threshold,
 OSR in the middle of a running loop.  Each case is pinned at the plan
 level and, where the engines execute it, asserted byte-identical across
-the reference ladder (``REPRO_FAST_INTERP=0``), the threaded tier and the
-codegen tier — a mispriced edge in one tier shows up as a stats diff.
+the reference ladder (``REPRO_FAST_INTERP=0``) and the codegen tier — a
+mispriced edge in one tier shows up as a stats diff.
 """
 
 from __future__ import annotations
@@ -19,16 +19,11 @@ from repro.engine.compilemodel import CodeUnit
 from repro.engine.tiering import TierController, TierPolicy
 from repro.env import chrome_desktop, firefox_desktop
 
-TIERS = ("ref", "threaded", "codegen")
-
-_TIER_ENV = {"ref": ("0", "0"), "threaded": ("1", "0"),
-             "codegen": ("1", "1")}
+TIERS = ("ref", "codegen")
 
 
 def _set_tier(monkeypatch, tier):
-    fast, codegen = _TIER_ENV[tier]
-    monkeypatch.setenv("REPRO_FAST_INTERP", fast)
-    monkeypatch.setenv("REPRO_CODEGEN", codegen)
+    monkeypatch.setenv("REPRO_FAST_INTERP", "0" if tier == "ref" else "1")
 
 
 def _snap(stats):
@@ -155,7 +150,7 @@ class TestEngineEdgesDifferential:
             assert result == 0
             assert stats.compile_cycles > 0
             snaps[tier] = _snap(stats)
-        assert snaps["ref"] == snaps["threaded"] == snaps["codegen"]
+        assert snaps["ref"] == snaps["codegen"]
 
     @pytest.mark.parametrize("threshold", [1, 50],
                              ids=["osr-first-backedge", "osr-mid-loop"])
@@ -174,7 +169,7 @@ class TestEngineEdgesDifferential:
             assert stats.tier_ups == 1
             assert stats.tier_up_compile_cycles > 0
             snaps[tier] = _snap(stats)
-        assert snaps["ref"] == snaps["threaded"] == snaps["codegen"]
+        assert snaps["ref"] == snaps["codegen"]
 
     def test_js_below_threshold_never_promotes(self, monkeypatch):
         for tier in TIERS:
