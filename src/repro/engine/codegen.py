@@ -26,11 +26,13 @@ profiles):
 
 1. **Integer counters batch freely.**  ``op_counts``, ``instructions``
    and the instruction budget are integers; charging a block's total at
-   block entry is exact.  Every trap point is guarded by statements
-   subtracting the suffix (the instructions after the trapping one),
-   restoring the reference ladder's charge-then-execute prefix: at a
-   trap on instruction *k* the reference has charged instructions
-   ``0..k`` inclusive.
+   block entry is exact.  Every trap point is guarded by a rewind of the
+   suffix (the instructions after the trapping one), restoring the
+   reference ladder's charge-then-execute prefix: at a trap on
+   instruction *k* the reference has charged instructions ``0..k``
+   inclusive.  The guard is table-driven: its ``except`` body is one
+   ``rw_('<suffix>')`` call (see :func:`rewinder`), the suffix spelled
+   as a string literal (:func:`rewind_suffix`), followed by ``raise``.
 2. **Float cycle batching needs an exact grid.**  Summing per-op costs in
    a different order than the reference is only bit-identical when every
    addend is dyadic and the partial sums stay exactly representable.
@@ -38,8 +40,13 @@ profiles):
    tests), so its per-block sums are exact at any association.  The JS
    and native charge streams include non-dyadic products
    (``cost × tier_factor``, ``cost × VECTOR_COST_FACTOR``), so their
-   generated code self-charges one literal per source instruction — the
-   same left-fold the reference performs, hence the same bits.
+   generated code adds the same products in the reference's left-fold
+   order.  Native spells one literal per instruction.  JS reads them from
+   a per-tier table (``C0``/``C1``: the products ``cost[op] * factor``
+   the reference computes, built at translation and bound through
+   ``ns``), and folds a run of non-raising ops into the next barrier's
+   charge as one ``cyc = cyc + a + b + ...`` statement: Python evaluates
+   it left to right, which is the reference's fold, hence the same bits.
 3. **Mid-run observers see flushed state only at the reference's flush
    points.**  Frame-local accumulators are flushed exactly where the
    ladder flushes (JS function-call boundaries, native CALL/RETV), so
@@ -61,9 +68,10 @@ code and a handful of translation flags, never on instance state (state
 is handed to ``make`` through ``ns``), so translation units are
 content-addressed exactly like compiled artifacts.  Warm runs are served
 from the same disk store the compile cache uses (``src/repro/cache/``):
-the artifact key pins the source text and a ``marshal`` of the compiled
-code object, so a warm process skips both source generation and
-``compile()``.
+an entry is ``(tag, SCHEMA_VERSION, marshal bytes)`` — only the
+``marshal`` of the compiled code object, not the source — so a warm
+process skips both source generation and ``compile()``; an entry that
+does not unmarshal is rebuilt from source.
 """
 
 from __future__ import annotations
@@ -74,7 +82,7 @@ import marshal
 import os
 
 #: Bump when the shape of cached translation units changes.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _TAG = "codegen"
 
@@ -110,6 +118,61 @@ def class_deltas(classes):
     for cls in classes:
         by_class[cls] = by_class.get(cls, 0) + 1
     return tuple(sorted(by_class.items()))
+
+
+def rewind_suffix(classes, keys=(), cycles=0.0):
+    """Source of one trap guard's suffix literal for :func:`rewinder`,
+    over the instructions after the trapping one:
+    ``'<cycles> <n> <class>:<d> ... / <profile_key>:<d> ...'``.
+
+    A string, not a tuple: it is one constant to the Python compiler,
+    where a tuple literal costs a node and a constant per number.
+    ``cycles`` (finite) round-trips through ``repr``; ``keys`` stays
+    empty when the unit is built without profiling."""
+    deltas = "".join(f" {c}:{d}" for c, d in
+                     class_deltas([int(c) for c in classes]))
+    cells = " ".join(f"{k}:{d}" for k, d in
+                     class_deltas([int(k) for k in keys]))
+    return repr(f"{float(cycles)!r} {len(classes)}{deltas} / {cells}")
+
+
+def rewinder(stats, budget=None, fprof=None, tier_of=None,
+             instructions=True):
+    """The ``rw_`` helper every trap guard calls with its suffix literal.
+
+    Subtracts the suffix's cycles (only wasm batches them), instructions
+    (unless the translator keeps them in a frame local it rewinds inline),
+    op-class deltas and profile cells, and refunds the instruction budget
+    (``budget`` is an ``(owner, attribute)`` pair, ``None`` outside budget
+    mode).  JS profile keys carry the executing tier in bits 8+, read off
+    ``tier_of()`` at the trap.  Profile cells are subtracted before the
+    frame's ``finally`` adds the whole block back, so a cell the trap
+    skipped entirely nets to zero; :meth:`EngineProfile.to_dict` omits
+    zero cells, as the reference ladder never creates them.  Runs only on
+    trap paths, so decoding the literal here costs nothing elsewhere.
+    """
+    counts = stats.op_counts
+
+    def rw_(sfx):
+        head, _sep, tail = sfx.partition(" / ")
+        cycles, n, *deltas = head.split()
+        cycles, n = float(cycles), int(n)
+        if cycles:
+            stats.cycles -= cycles
+        if instructions:
+            stats.instructions -= n
+        for pair in deltas:
+            ci, d = pair.split(":")
+            counts[int(ci)] -= int(d)
+        if budget is not None:
+            owner, attr = budget
+            setattr(owner, attr, getattr(owner, attr) + n)
+        tbit = tier_of() << 8 if tier_of is not None else 0
+        for pair in tail.split():
+            key, d = pair.split(":")
+            key = int(key) + tbit
+            fprof[key] = fprof.get(key, 0) - int(d)
+    return rw_
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +225,30 @@ class Emitter:
                 return False
         return _Block()
 
+    def guarded(self, body_lines, rewind_lines):
+        """Emit ``body_lines`` inside a trap guard whose ``except`` body
+        runs ``rewind_lines`` and re-raises; unguarded when there is
+        nothing to rewind."""
+        if rewind_lines:
+            self.emit("try:")
+            self.indent += 1
+        for line in body_lines:
+            self.emit(line)
+        if rewind_lines:
+            self.indent -= 1
+            self.emit("except BaseException:")
+            with self.block():
+                for line in rewind_lines:
+                    self.emit(line)
+                self.emit("raise")
+
     def source(self):
         return "\n".join(self.lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # The translation-unit cache: memory (compiled ``make`` factories) over
-# the persistent artifact store (source + marshalled code object).
+# the persistent artifact store (marshalled code objects).
 
 _FACTORIES = {}          # key -> make() factory (compiled once per process)
 _STORE = None            # lazily built ArtifactCache (own stats, shared root)
@@ -212,38 +292,38 @@ def load_factory(engine, key, build_source):
     """Return the compiled ``make`` factory for one translation unit.
 
     Layered lookup: in-process factory cache, then the persistent store
-    (source + marshalled code object — skips ``build_source`` *and*
-    ``compile``), then a cold build that populates both.  The factory is
-    the module-level ``make`` function of the generated source; callers
-    invoke it once per engine instance with the pre-bound namespace.
+    (the marshalled code object — skips ``build_source`` *and*
+    ``compile``), then a cold build that populates both and books the
+    emitted line count as ``interp.<engine>.codegen_source_lines``.  The
+    factory is the module-level ``make`` function of the generated
+    source; callers invoke it once per engine instance with the
+    pre-bound namespace.
     """
     from repro.obs import SCHED, get_registry
-    reg = get_registry()
     factory = _FACTORIES.get(key)
     if factory is not None:
         return factory
-    filename = f"<repro-codegen:{engine}:{key[:12]}>"
+    reg = get_registry()
     store = _store()
     entry = store.get(key)
     code = None
-    source = None
-    if isinstance(entry, tuple) and len(entry) == 4 \
+    if isinstance(entry, tuple) and len(entry) == 3 \
             and entry[0] == _TAG and entry[1] == SCHEMA_VERSION:
-        source = entry[2]
         try:
-            code = marshal.loads(entry[3])
+            code = marshal.loads(entry[2])
         except (ValueError, EOFError, TypeError):
-            code = None                   # foreign bytecode: recompile
+            code = None                   # foreign bytecode: rebuild
+    if code is not None:
         reg.counter_add(f"interp.{engine}.codegen_cache_hits", 1, SCHED)
-    if source is None:
+    else:
         source = build_source()
         reg.counter_add(f"interp.{engine}.codegen_cache_misses", 1, SCHED)
-    if code is None:
-        code = compile(source, filename, "exec")
-        store.put(key, (_TAG, SCHEMA_VERSION, source, marshal.dumps(code)))
+        reg.counter_add(f"interp.{engine}.codegen_source_lines",
+                        source.count("\n"), SCHED)
+        code = compile(source, f"<repro-codegen:{engine}:{key[:12]}>",
+                       "exec")
+        store.put(key, (_TAG, SCHEMA_VERSION, marshal.dumps(code)))
     namespace = {}
     exec(code, namespace)
-    factory = namespace["make"]
-    factory.__repro_source__ = source     # tests / debugging
-    _FACTORIES[key] = factory
+    factory = _FACTORIES[key] = namespace["make"]
     return factory

@@ -10,19 +10,26 @@ decline, and the function runs on the reference ladder), locals to
 
 Exactness rules (see :mod:`repro.engine.codegen`) as they apply here:
 
-* **Cycles self-charge per op** with the charge ``cost[op] * factor``
-  folded to one literal per op, in the reference ladder's left-fold
-  order; dynamic extras (boxed-element penalties, GC pauses, native-call
-  costs) are added at the same points.  The charge stream has
-  non-dyadic factors (1.12, 0.73, 3.2, ...), so reordering those float
-  additions would not be bit-exact.  Integer counters batch per block;
-  trap points get explicit guards whose rewind statements subtract the
-  integer suffix.
-* **Dual tier bodies.**  A function's tier picks its cost table and
-  factor, and can only change at block terminators (``JBACK`` OSR, call
-  returns).  Each block arm re-checks ``fn.tier`` on entry and selects a
-  tier-0 or tier-1 body with that tier's cost table, factor, and profile
-  key bit baked in.
+* **Cycles charge in the reference's left-fold order.**  The per-op
+  charge ``cost[op] * factor`` is read from the tier's charge table
+  (``C0``/``C1``, see :func:`charge_table`), never folded into the
+  source.  Ops that cannot raise, allocate or read ``cyc``
+  (``_MERGED_OPS``) defer their charge to the next barrier, which adds
+  the run and its own charge as one ``cyc = cyc + c_[a] + c_[b] + ...``
+  statement — the same float additions in the same order.  Dynamic
+  extras (boxed-element penalties, GC pauses, native-call costs) are
+  added at the same points as the reference.  Integer counters batch
+  per block; trap points get explicit guards whose ``rw_`` rewind
+  subtracts the integer and profile suffix.
+* **One body, rebound tier table.**  A function's tier picks its charge
+  table and profile key bit, and can only change inside a terminator
+  (``JBACK`` OSR, calls).  Each block body is emitted once.  The
+  function entry and every call fall-through (a callee may promote this
+  function) rebind ``c_ = C1 if fn.tier else C0``; a promoting ``JBACK``
+  sets ``c_ = C1`` itself.  With profiling on every block bumps its
+  per-tier counter ``pf<bi>_<tier>``, picked by ``c_ is C0``.  The tier
+  factors are therefore not part of the unit key: every browser profile
+  shares one unit per function.
 * **GC checks only where the counter can rise.**  The reference checks
   ``allocated_since_gc`` after *every* op, but the counter only moves on
   allocation (``ADD`` string path, ``SETIDX`` extends, ``NEWARR``/
@@ -55,9 +62,9 @@ Exactness rules (see :mod:`repro.engine.codegen`) as they apply here:
   keep its last value alive.
 
 The generated source depends only on the bytecode and translation flags
-(tier factors, JIT enablement, profiling) — instance state is bound by
-``make(ns)`` — so translation units are served from the persistent
-compile cache (:mod:`repro.engine.codegen`).
+(JIT enablement, profiling) — instance state, including the charge
+tables, is bound by ``make(ns)`` — so translation units are served from
+the persistent compile cache (:mod:`repro.engine.codegen`).
 """
 
 from __future__ import annotations
@@ -66,8 +73,8 @@ import math
 
 from repro.clibm import c_fmod
 from repro.engine.codegen import (
-    DECLINED, Emitter, class_deltas, literal, load_factory, split_blocks,
-    unit_key,
+    DECLINED, Emitter, class_deltas, literal, load_factory, rewind_suffix,
+    rewinder, split_blocks, unit_key,
 )
 from repro.jsengine.bytecode import JS_OP_CLASS, JS_OP_COST, JS_OP_COST_OPT
 from repro.jsengine.values import (
@@ -153,6 +160,27 @@ _VALUE_FNS = {
     23: lambda a, b: _js_loose_eq(a, b),
     24: lambda a, b: not _js_loose_eq(a, b),
 }
+
+
+#: Ops whose charge is deferred into the next barrier's merged
+#: ``cyc = cyc + ...`` statement: they never raise, never allocate and
+#: never read ``cyc``.  Every other op (guarded, allocating, GC-checking,
+#: calling, terminating) is a barrier.
+_MERGED_OPS = frozenset((0, 1, 2, 3, 4, 10, 11, 12, 41, 42, 43, 45,
+                         *_SHADOW_KIND))
+
+#: Charge-table slots past the per-op products (``C0``/``C1`` in ``ns``):
+#: the tier factor (native-call cost multiplier) and the boxed-``JSArray``
+#: GETIDX/SETIDX penalties, each the product the reference computes.
+_FACTOR, _GETIDX_BOXED, _SETIDX_BOXED = 50, 51, 52
+
+
+def charge_table(cost, factor):
+    """One tier's charge table: ``cost[op] * factor`` per op, then the
+    factor and the two boxed-element penalties (``1.6 * factor``,
+    ``2.0 * factor``) — the exact products the reference ladder adds."""
+    return (tuple(cost[op] * factor for op in range(_FACTOR))
+            + (factor, 1.6 * factor, 2.0 * factor))
 
 
 def _setidx_work(heap, obj, index, value, sh):
@@ -293,7 +321,7 @@ class _FnEmitter:
     """Emits the ``run`` body for one JS function."""
 
     def __init__(self, fn, code, ranges, block_index, entry_depth,
-                 max_depth, jit_enabled, profiling, f0, f1, const_index):
+                 max_depth, jit_enabled, profiling, const_index):
         self.fn = fn
         self.code = code
         self.ranges = ranges
@@ -302,7 +330,6 @@ class _FnEmitter:
         self.max_depth = max_depth
         self.jit_enabled = jit_enabled
         self.profiling = profiling
-        self.factors = (f0, f1)
         self.const_index = const_index
         self.names = set()                # ns names the source references
         #: Per-block integer-counter deltas, flushed lazily (see
@@ -310,6 +337,13 @@ class _FnEmitter:
         self.block_counts = {}
         #: Per-(block, tier) profiler cells: ``{(bi, tier): [(key, d)]}``.
         self.block_profs = {}
+        #: Blocks that (re)bind ``c_`` from ``fn.tier``: function entry
+        #: and call fall-throughs (a callee may promote this function).
+        #: ``JBACK`` rebinds ``c_`` itself when it promotes.
+        self.rebind = {0} | {self.bi_of(end) for _start, end in ranges
+                             if code[end - 1][0] in (31, 32, 44)}
+        self.block_ops = ()               # the block being emitted
+        self.pending = []                 # deferred charges: op codes
         self.out = Emitter()
 
     def use(self, name):
@@ -342,8 +376,9 @@ class _FnEmitter:
         """Kill dead stack slots before a point that can collect: the
         reference's popped list entries are gone; a lowered slot would
         otherwise pin its last value through the collection."""
-        for j in range(depth, self.max_depth):
-            self.out.emit(f"s{j} = None")
+        if depth < self.max_depth:
+            self.out.emit(" = ".join(
+                f"s{j}" for j in range(depth, self.max_depth)) + " = None")
 
     def emit_gc_check(self):
         heap = self.use("heap")
@@ -355,12 +390,24 @@ class _FnEmitter:
             self.out.emit("stats.gc_pause_cycles += p_")
             self.out.emit("cyc += p_")
 
-    def emit_rewind(self, classes, idx):
-        n_sfx = len(classes) - (idx + 1)
-        if n_sfx:
-            self.out.emit(f"{self.use('stats')}.instructions -= {n_sfx}")
-        for ci, d in class_deltas(classes[idx + 1:]):
-            self.out.emit(f"{self.use('counts')}[{ci}] -= {d}")
+    def emit_charge(self, op=None):
+        """Charge the deferred ops, then ``op`` (a barrier), as one
+        left-fold statement: the reference's per-op adds, same order."""
+        terms = self.pending + ([op] if op is not None else [])
+        if terms:
+            self.out.emit("cyc = cyc" + "".join(f" + c_[{o}]" for o in terms))
+        self.pending = []
+
+    def rewind(self, idx):
+        """The suffix rewind lines for a trap on instruction ``idx``:
+        cycles are charged up to the trapping op and never past it, so
+        only ``instructions``, ``op_counts`` and the profile rewind."""
+        ops = [op for op, _a in self.block_ops[idx + 1:]]
+        if not ops:
+            return []
+        sfx = rewind_suffix([int(JS_OP_CLASS[op]) for op in ops],
+                            ops if self.profiling else ())
+        return [f"{self.use('rw_')}({sfx})"]
 
     def emit_flush(self):
         """Apply the per-block integer counters the dispatch loop
@@ -385,22 +432,8 @@ class _FnEmitter:
                     out.emit(f"{self.use('fprof')}[{key}] = "
                              f"fprof.get({key}, 0) + {mul}")
 
-    def guarded(self, body_lines, classes, idx):
-        """Wrap raising statements in the integer-suffix rewind guard
-        (cycles self-charge, so only ``instructions``/``op_counts``
-        rewind)."""
-        if idx + 1 >= len(classes):       # nothing after it to rewind
-            for line in body_lines:
-                self.out.emit(line)
-            return
-        self.out.emit("try:")
-        with self.out.block():
-            for line in body_lines:
-                self.out.emit(line)
-        self.out.emit("except BaseException:")
-        with self.out.block():
-            self.emit_rewind(classes, idx)
-            self.out.emit("raise")
+    def guarded(self, body_lines, idx):
+        self.out.guarded(body_lines, self.rewind(idx))
 
     # -- one straight-line op at static depth d; returns the new depth --
 
@@ -472,10 +505,13 @@ class _FnEmitter:
         else:                                  # MOD / EQ / NE
             out.emit(f"{a} = {self.use(f'vf{op}')}({a}, {b})")
 
-    def emit_op(self, pc, instr, d, charges, classes, idx, factor):
+    def emit_op(self, pc, instr, d, idx):
         op, arg = instr
         out = self.out
-        out.emit(f"cyc += {literal(charges[idx])}")
+        if op in _MERGED_OPS:
+            self.pending.append(op)
+        else:
+            self.emit_charge(op)
         if op == 1:       # LOADL
             out.emit(f"s{d} = l{arg}")
             return d + 1
@@ -523,7 +559,7 @@ class _FnEmitter:
             out.emit(f"sh[1] = s{d - 2}")
             out.emit(f"if type(sh[1]) is {self.use('JSArray')}:")
             with out.block():
-                out.emit(f"cyc += {literal(1.6 * factor)}")
+                out.emit(f"cyc += c_[{_GETIDX_BOXED}]")
                 # Inline of ``_element_get``'s array path.  ``t_`` briefly
                 # holds the raw items list; it is reset before any later
                 # GC point so the generated frame's live set stays equal
@@ -533,7 +569,7 @@ class _FnEmitter:
                      "t_ = sh[1].items",
                      f"s{d - 2} = t_[i_] if 0 <= i_ < len(t_) "
                      f"else {self.use('u_')}",
-                     "t_ = 0.0"], classes, idx)
+                     "t_ = 0.0"], idx)
             out.emit(f"elif type(sh[1]) is {self.use('JSTypedArray')}:")
             with out.block():
                 # Same inline, with the typed-array miss value (0.0) and
@@ -549,11 +585,11 @@ class _FnEmitter:
                      f"if 0 <= i_ < t_._length else 0.0",
                      "else:",
                      f"    s{d - 2} = t_[i_] if 0 <= i_ < len(t_) else 0.0",
-                     "t_ = 0.0"], classes, idx)
+                     "t_ = 0.0"], idx)
             out.emit("else:")
             with out.block():
                 self.guarded([f"s{d - 2} = {self.use('eget')}"
-                              f"(sh[1], sh[0])"], classes, idx)
+                              f"(sh[1], sh[0])"], idx)
             return d - 1
         if op == 38:      # SETIDX
             out.emit(f"sh[2] = s{d - 1}")
@@ -561,9 +597,9 @@ class _FnEmitter:
             out.emit(f"sh[1] = s{d - 3}")
             out.emit(f"if type(sh[1]) is {self.use('JSArray')}:")
             with out.block():
-                out.emit(f"cyc += {literal(2.0 * factor)}")
+                out.emit(f"cyc += c_[{_SETIDX_BOXED}]")
             self.guarded([f"{self.use('setw')}({self.use('heap')}, sh[1], "
-                          f"sh[3], sh[2], sh)"], classes, idx)
+                          f"sh[3], sh[2], sh)"], idx)
             out.emit(f"s{d - 3} = sh[2]")
             self.emit_clears(d - 2)
             self.emit_gc_check()
@@ -587,7 +623,7 @@ class _FnEmitter:
         if op == 39:      # GETMEM
             out.emit(f"sh[1] = s{d - 1}")
             self.guarded([f"s{d - 1} = {self.use('mget')}(sh[1], "
-                          f"{arg!r})"], classes, idx)
+                          f"{arg!r})"], idx)
             return d
         if op == 40:      # SETMEM
             out.emit(f"sh[2] = s{d - 1}")
@@ -603,7 +639,7 @@ class _FnEmitter:
                      f"    raise {self.use('err')}("
                      f"{literal(f'cannot set {arg} on ')}"
                      f" + type(sh[1]).__name__)"]
-            self.guarded(body, classes, idx)
+            self.guarded(body, idx)
             out.emit(f"s{d - 2} = sh[2]")
             return d - 1
         if op == 35:      # NEWARR
@@ -672,7 +708,7 @@ class _FnEmitter:
                 "    sh[1].items[i_] = n_",
                 "else:",
                 f"    sh[1].props[{self.use('jstr')}(sh[3])] = n_",
-            ], classes, idx)
+            ], idx)
             out.emit(f"s{d - 2} = {'t_' if is_post else 'n_'}")
             return d - 1
         if op == 47:      # INCMEM
@@ -683,7 +719,7 @@ class _FnEmitter:
                 f"(sh[1], {name!r}))",
                 f"n_ = t_ + {literal(delta)}",
                 f"sh[1].props[{name!r}] = n_",
-            ], classes, idx)
+            ], idx)
             out.emit(f"s{d - 1} = {'t_' if is_post else 'n_'}")
             return d
         raise JsRuntimeError(     # pragma: no cover - pre-checked
@@ -692,10 +728,10 @@ class _FnEmitter:
 
     # -- terminators ----------------------------------------------------
 
-    def emit_term(self, instr, d, bi, fall_bi, charges, factor, tier0):
+    def emit_term(self, instr, d, bi, fall_bi):
         op, arg = instr
         out = self.out
-        out.emit(f"cyc += {literal(charges[-1])}")
+        self.emit_charge(op)
         if op == 27:      # JMP
             self.emit_jump(self.bi_of(arg), fall_bi)
             return
@@ -708,12 +744,15 @@ class _FnEmitter:
             self.emit_jump(fall_bi, fall_bi)
             return
         if op == 30:      # JBACK
-            if tier0 and self.jit_enabled:
-                out.emit(f"{self.use('fn')}.backedge_count += 1")
-                out.emit(f"if {self.use('hot')}(fn.backedge_count):")
+            if self.jit_enabled:
+                out.emit(f"if c_ is {self.use('C0')}:")
                 with out.block():
-                    out.emit(f"{self.use('tier_up')}(fn)"
-                             "  # on-stack replacement")
+                    out.emit(f"{self.use('fn')}.backedge_count += 1")
+                    out.emit(f"if {self.use('hot')}(fn.backedge_count):")
+                    with out.block():
+                        out.emit(f"{self.use('tier_up')}(fn)"
+                                 "  # on-stack replacement")
+                        out.emit(f"c_ = {self.use('C1')}")
             self.emit_jump(self.bi_of(arg), fall_bi)
             return
         if op == 33:      # RET
@@ -753,7 +792,7 @@ class _FnEmitter:
                      f"sh[8], sh[7], sh[9])")
         out.emit(f"elif isinstance(sh[8], {self.use('NativeFunction')}):")
         with out.block():
-            out.emit(f"cyc += sh[8].cycles * {literal(factor)}")
+            out.emit(f"cyc += sh[8].cycles * c_[{_FACTOR}]")
             out.emit(f"s{nd} = sh[8].fn(engine, sh[9], sh[7])")
         out.emit("else:")
         with out.block():
@@ -768,29 +807,6 @@ class _FnEmitter:
 
     # -- whole blocks ---------------------------------------------------
 
-    def emit_tier(self, ops, start, entry_d, bi, fall_bi, tier):
-        cost = JS_OP_COST_OPT if tier else JS_OP_COST
-        factor = self.factors[tier]
-        charges = [cost[op] * factor for op, _a in ops]
-        classes = [int(JS_OP_CLASS[op]) for op, _a in ops]
-        if self.profiling and ops:
-            tbit = tier << 8
-            self.out.emit(f"pf{bi}_{tier} += 1")
-            self.block_profs[(bi, tier)] = [
-                (op + tbit, dc)
-                for op, dc in class_deltas(list(o for o, _a in ops))]
-        has_term = bool(ops) and ops[-1][0] in _TERM_OPS
-        body = ops[:-1] if has_term else ops
-        d = entry_d
-        for idx, instr in enumerate(body):
-            d = self.emit_op(start + idx, instr, d, charges, classes,
-                             idx, factor)
-        if has_term:
-            self.emit_term(ops[-1], d, bi, fall_bi, charges, factor,
-                           tier == 0)
-        else:
-            self.emit_jump(fall_bi, fall_bi)
-
     def emit_block(self, bi):
         out = self.out
         start, end = self.ranges[bi]
@@ -801,24 +817,42 @@ class _FnEmitter:
                 out.emit(f"raise {self.use('err')}"
                          f"('codegen: entered unreachable block {bi}')")
                 return
-            ops = self.code[start:end]
-            if ops:
-                # Integer counters accumulate in a per-block local and
-                # flush in the function's ``finally`` — integer adds
-                # commute, so every externally observable value (incl.
-                # trap paths, whose guards rewind the engine counters
-                # directly) matches eager per-block batching.
-                out.emit(f"nb{bi} += 1")
-                self.block_counts[bi] = (len(ops), list(class_deltas(
-                    [int(JS_OP_CLASS[op]) for op, _a in ops])))
-            entry_d = self.entry_depth[bi]
+            ops = self.block_ops = self.code[start:end]
+            # Integer counters accumulate in a per-block local and flush
+            # in the function's ``finally`` — integer adds commute, so
+            # every externally observable value (incl. trap paths, whose
+            # guards rewind the engine counters directly) matches eager
+            # per-block batching.
+            out.emit(f"nb{bi} += 1")
+            self.block_counts[bi] = (len(ops), list(class_deltas(
+                [int(JS_OP_CLASS[op]) for op, _a in ops])))
+            # The tier picks the charge table; it only changes inside a
+            # terminator, so ``c_`` is rebound only where one may precede.
+            if bi in self.rebind:
+                out.emit(f"c_ = {self.use('C1')} if {self.use('fn')}.tier "
+                         f"else {self.use('C0')}")
+            if self.profiling:
+                cells = class_deltas([op for op, _a in ops])
+                for tier in (0, 1):
+                    self.block_profs[(bi, tier)] = [
+                        (op + (tier << 8), dc) for op, dc in cells]
+                out.emit(f"if c_ is {self.use('C0')}:")
+                with out.block():
+                    out.emit(f"pf{bi}_0 += 1")
+                out.emit("else:")
+                with out.block():
+                    out.emit(f"pf{bi}_1 += 1")
+            has_term = ops[-1][0] in _TERM_OPS
+            body = ops[:-1] if has_term else ops
+            d = self.entry_depth[bi]
+            for idx, instr in enumerate(body):
+                d = self.emit_op(start + idx, instr, d, idx)
             fall_bi = self.bi_of(end)
-            out.emit(f"if {self.use('fn')}.tier:")
-            with out.block():
-                self.emit_tier(ops, start, entry_d, bi, fall_bi, 1)
-            out.emit("else:")
-            with out.block():
-                self.emit_tier(ops, start, entry_d, bi, fall_bi, 0)
+            if has_term:
+                self.emit_term(ops[-1], d, bi, fall_bi)
+            else:
+                self.emit_charge()
+                self.emit_jump(fall_bi, fall_bi)
 
     def build(self):
         out = self.out
@@ -902,8 +936,6 @@ def translate(fn, engine):
     entry_depth, max_depth = flow
 
     tiering = engine.tiering
-    f0 = tiering.exec_factor(0)
-    f1 = tiering.exec_factor(1)
     jit_enabled = engine.config.jit_enabled
     profiling = engine._profile is not None
 
@@ -922,13 +954,11 @@ def translate(fn, engine):
             consts.append(tuple(arg))
 
     key = unit_key("js", (
-        repr(code), len(fn.params), fn.num_locals, jit_enabled,
-        repr((f0, f1)), profiling))
+        repr(code), len(fn.params), fn.num_locals, jit_enabled, profiling))
 
     def build_source():
         emitter = _FnEmitter(fn, code, ranges, block_index, entry_depth,
-                             max_depth, jit_enabled, profiling, f0, f1,
-                             const_index)
+                             max_depth, jit_enabled, profiling, const_index)
         return emitter.build()
 
     factory = load_factory("js", key, build_source)
@@ -948,11 +978,15 @@ def translate(fn, engine):
         "JSObject": JSObject, "JSTypedArray": JSTypedArray,
         "JSFunction": JSFunction, "NativeFunction": NativeFunction,
         "hot": tiering.backedge_hot, "tier_up": engine._tier_up,
+        "C0": charge_table(JS_OP_COST, tiering.exec_factor(0)),
+        "C1": charge_table(JS_OP_COST_OPT, tiering.exec_factor(1)),
     }
     for op, f in _VALUE_FNS.items():
         ns[f"vf{op}"] = f
     if profiling:
         ns["fprof"] = engine._profile.frame(fn.name)
+    ns["rw_"] = rewinder(engine.stats, fprof=ns.get("fprof"),
+                         tier_of=lambda: fn.tier)
 
     reg.counter_add("interp.js.codegen_functions", 1, SCHED)
     reg.counter_add("interp.js.codegen_blocks", len(ranges), SCHED)

@@ -11,8 +11,9 @@ the Wasm translator uses.  The exactness rules of
   float batching would reorder the sum; every op emits its own
   ``cyc += c`` statement with the pre-scaled charge as a literal, so the
   float sum associates in the reference's left-fold order.  The integer
-  counters (``instructions``, ``op_counts``, budget) batch per block
-  with literal rewind statements inside each trap guard.
+  counters (``instructions``, ``op_counts``, budget) batch per block;
+  each trap guard rewinds the suffix with an inline ``ic -= n`` (a frame
+  local) and one ``rw_`` call carrying the rest as a string literal.
 * **The RETV double-flush is intentional** — the reference ``RETV`` arm
   flushes the frame-local accumulators and returns *without zeroing
   them*, so the ``finally`` flush runs a second time.  The generated
@@ -37,8 +38,8 @@ import math as _math
 import struct as _struct
 
 from repro.engine.codegen import (
-    DECLINED, Emitter, class_deltas, literal, load_factory, split_blocks,
-    unit_key,
+    DECLINED, Emitter, class_deltas, literal, load_factory, rewind_suffix,
+    rewinder, split_blocks, unit_key,
 )
 from repro.errors import TrapError
 from repro.obs import SCHED, get_registry
@@ -174,6 +175,7 @@ class _FnEmitter:
         #: Per-block op-class/profiler deltas, flushed lazily in the
         #: ``finally`` (see ``emit_flush``): ``{bi: (classes, prof)}``.
         self.block_counts = {}
+        self.block_ops = ()               # the block being emitted
         self.out = Emitter()
 
     def use(self, name):
@@ -198,16 +200,18 @@ class _FnEmitter:
             self.out.emit(f"bi = {tbi}")
             self.out.emit("continue")
 
-    def emit_rewind(self, classes, idx):
-        """Integer rewind: cycles self-charge, so only the block-batched
-        instret / op-class / budget suffix is subtracted."""
-        n_sfx = len(classes) - (idx + 1)
-        if n_sfx:
-            self.out.emit(f"ic -= {n_sfx}")
-        for ci, d in class_deltas(classes[idx + 1:]):
-            self.out.emit(f"{self.use('counts')}[{ci}] -= {d}")
-        if self.budget_mode and n_sfx:
-            self.out.emit(f"{self.use('machine')}.budget += {n_sfx}")
+    def rewind(self, idx):
+        """Integer rewind lines for a trap on instruction ``idx``: cycles
+        self-charge, so only the block-batched instret / op-class /
+        budget / profile suffix is subtracted — ``ic`` inline (a frame
+        local), the rest through ``rw_``."""
+        ops = self.block_ops[idx + 1:]
+        if not ops:
+            return []
+        keys = [int(i[0]) + (256 if i[4] else 0) for i in ops] \
+            if self.profiling else ()
+        sfx = rewind_suffix([int(N_OP_CLASS[int(i[0])]) for i in ops], keys)
+        return [f"ic -= {len(ops)}", f"{self.use('rw_')}({sfx})"]
 
     def emit_flush(self):
         """Apply the per-block op-class counters accumulated by the
@@ -226,17 +230,10 @@ class _FnEmitter:
                     mul = f"nb{bi}" if dc == 1 else f"{dc} * nb{bi}"
                     out.emit(f"fprof[{key}] = fprof.get({key}, 0) + {mul}")
 
-    def guarded(self, body_lines, classes, idx):
-        self.out.emit("try:")
-        with self.out.block():
-            for line in body_lines:
-                self.out.emit(line)
-        self.out.emit("except BaseException:")
-        with self.out.block():
-            self.emit_rewind(classes, idx)
-            self.out.emit("raise")
+    def guarded(self, body_lines, idx):
+        self.out.guarded(body_lines, self.rewind(idx))
 
-    def emit_op(self, instr, classes, idx):
+    def emit_op(self, instr, idx):
         op, dst, a, b, _vector = instr
         op = int(op)
         out = self.out
@@ -295,8 +292,7 @@ class _FnEmitter:
                      f"({rb} & {_M64}) else 0")
             return
         if op in _TRAP_BINVAL:
-            self.guarded([f"{d} = {self.use(f'vf{op}')}({ra}, {rb})"],
-                         classes, idx)
+            self.guarded([f"{d} = {self.use(f'vf{op}')}({ra}, {rb})"], idx)
             return
         if op in (15, 17):                # NEG32 / BNOT32
             expr = f"-{ra}" if op == 15 else f"~{ra}"
@@ -338,8 +334,7 @@ class _FnEmitter:
             out.emit(f"{d} = t_ - {_W32} if t_ & {_S32} else t_")
             return
         if op in _TRAP_UNVAL:
-            self.guarded([f"{d} = {self.use(f'vf{op}')}({ra})"],
-                         classes, idx)
+            self.guarded([f"{d} = {self.use(f'vf{op}')}({ra})"], idx)
             return
         if op in _LOADS:
             addr = f"{ra} + {b}" if b else ra
@@ -361,7 +356,7 @@ class _FnEmitter:
                 body = [f"a_ = {addr}",
                         f"{d} = {self.use('mem')}[a_] | "
                         f"({self.use('mem')}[a_ + 1] << 8)"]
-            self.guarded(body, classes, idx)
+            self.guarded(body, idx)
             return
         if op in _STORES:
             addr = f"{ra} + {b}" if b else ra
@@ -381,13 +376,13 @@ class _FnEmitter:
                         f"t_ = {d} & 65535",
                         f"{self.use('mem')}[a_] = t_ & 255",
                         f"{self.use('mem')}[a_ + 1] = t_ >> 8"]
-            self.guarded(body, classes, idx)
+            self.guarded(body, idx)
             return
         if op == 94:                      # HOSTCALL
             name, arg_regs = a
             arg_list = ", ".join(f"r{r}" for r in arg_regs)
             self.guarded([f"t_ = {self.use('host')}({name!r}, "
-                          f"[{arg_list}])"], classes, idx)
+                          f"[{arg_list}])"], idx)
             if dst >= 0:
                 out.emit(f"{d} = t_")
             return
@@ -436,7 +431,7 @@ class _FnEmitter:
     def emit_block(self, bi):
         out = self.out
         start, end = self.ranges[bi]
-        ops = self.code[start:end]
+        ops = self.block_ops = self.code[start:end]
         classes = [int(N_OP_CLASS[int(i[0])]) for i in ops]
         charges = [N_COST[int(i[0])] * (VECTOR_COST_FACTOR if i[4]
                                         else 1.0) for i in ops]
@@ -474,7 +469,7 @@ class _FnEmitter:
             body = ops[:-1] if has_term else ops
             for idx, instr in enumerate(body):
                 out.emit(f"cyc += {literal(charges[idx])}")
-                self.emit_op(instr, classes, idx)
+                self.emit_op(instr, idx)
             if has_term:
                 self.emit_term(ops[-1], charges[-1], bi, self.bi_of(end))
             else:
@@ -486,9 +481,13 @@ class _FnEmitter:
         self.out = body
         with body.block():
             with body.block():
-                body.emit("_n = len(args)")
-                for i in range(self.fn.nregs):
-                    body.emit(f"r{i} = args[{i}] if {i} < _n else 0")
+                nregs = self.fn.nregs
+                if nregs:
+                    # The reference's ``regs[:len(args)] = args`` over a
+                    # zeroed register file, as one unpacking statement.
+                    regs = ", ".join(f"r{i}" for i in range(nregs))
+                    body.emit(f"{regs}{',' if nregs == 1 else ''} = "
+                              f"(*args, *{(0,) * nregs!r})[:{nregs}]")
                 body.emit("cyc = 0.0")
                 body.emit("ic = 0")
                 if self.profiling:
@@ -592,6 +591,10 @@ def translate(fn, machine):
     ns["sqrt"] = _math.sqrt
     if machine._profile is not None:
         ns["prof_frame"] = machine._profile.frame
+    ns["rw_"] = rewinder(
+        machine.stats, budget=(machine, "budget") if budget_mode else None,
+        fprof=machine._profile.frame(fn.name) if profiling else None,
+        instructions=False)
     for op, f in _TRAP_BINVAL.items():
         ns[f"vf{op}"] = f
     for op, f in _TRAP_UNVAL.items():

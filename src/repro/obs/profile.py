@@ -14,11 +14,13 @@ When profiling is off (the default) ``new_profile`` returns ``None`` and
 the engines' hot loops pay one pointer test per frame (reference) or
 nothing at all (generated code is emitted without profile statements).
 
-Granularity caveat: the codegen tier attributes a whole block at its
-batch point, so a *trapping* block is counted as a whole there (the
-reference ladder counts exactly up to the trap).  The measured
-benchmarks never trap; the wasm budget deopt is exact on both tiers
-because the deopt check precedes the block charge.
+Trap paths: the codegen tier attributes a whole block at its batch
+point, and a trap guard's rewind (``rw_``, see ``repro.engine.codegen``)
+subtracts the cells of the instructions after the trapping one, so a
+trapping block nets to exactly the reference ladder's count up to the
+trap.  A cell whose every execution was rewound nets to zero;
+:meth:`EngineProfile.to_dict` omits zero cells, which the reference
+ladder never creates.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ class EngineProfile:
         return {
             "engine": self.engine,
             "calls": {fn: self.calls[fn] for fn in sorted(self.calls)},
-            "ops": {fn: {str(k): v for k, v in sorted(cells.items())}
+            "ops": {fn: {str(k): v for k, v in sorted(cells.items()) if v}
                     for fn, cells in sorted(self.ops.items())},
         }
 

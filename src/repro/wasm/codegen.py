@@ -14,8 +14,9 @@ Exactness (rules of :mod:`repro.engine.codegen`):
   ``math.fsum`` block total is exact at any association) and decrements
   the budget by the block length;
 * every trap point (loads/stores, div/rem, trunc, floor/ceil,
-  ``unreachable``) is wrapped in an explicit guard whose rewind
-  statements subtract the charge suffix before re-raising;
+  ``unreachable``) is wrapped in an explicit guard whose ``rw_`` call
+  subtracts the charge suffix (cycles, instructions, op classes,
+  budget, profile cells — one string literal) before re-raising;
 * a block entered with fewer budget units than instructions deopts to
   the reference ladder (``_run_from``) at the block start, materialising
   the slot values back into real locals/stack lists;
@@ -37,8 +38,8 @@ import math
 import struct as _struct
 
 from repro.engine.codegen import (
-    DECLINED, Emitter, class_deltas, literal, load_factory, split_blocks,
-    unit_key,
+    DECLINED, Emitter, class_deltas, literal, load_factory, rewind_suffix,
+    rewinder, split_blocks, unit_key,
 )
 from repro.errors import TrapError, ValidationError
 from repro.obs import SCHED, get_registry
@@ -322,6 +323,7 @@ class _FnEmitter:
         #: Per-block charge batch, flushed lazily (see ``emit_flush``):
         #: ``{bi: (cycles, n_ops, [(class, d)], [(op, d)])}``.
         self.block_counts = {}
+        self.block_ops = ()               # the block being emitted
         self.out = Emitter()
 
     def use(self, name):
@@ -351,20 +353,18 @@ class _FnEmitter:
             self.out.emit(f"bi = {tbi}")
             self.out.emit("continue")
 
-    def emit_rewind(self, costs, classes, idx):
-        """The charge-suffix rewind: restore the reference's charge
-        prefix 0..idx before the trap escapes."""
-        cyc_sfx = math.fsum(costs[idx + 1:])
-        n_sfx = len(costs) - (idx + 1)
-        if cyc_sfx:
-            self.out.emit(f"{self.use('stats')}.cycles -= "
-                          f"{literal(cyc_sfx)}")
-        if n_sfx:
-            self.out.emit(f"{self.use('stats')}.instructions -= {n_sfx}")
-        for ci, d in class_deltas(classes[idx + 1:]):
-            self.out.emit(f"{self.use('counts')}[{ci}] -= {d}")
-        if self.budget_mode and n_sfx:
-            self.out.emit(f"{self.use('inst')}._instr_budget += {n_sfx}")
+    def rewind(self, idx):
+        """The charge-suffix rewind lines for a trap on instruction
+        ``idx``: restore the reference's charge prefix 0..idx before the
+        trap escapes."""
+        ops = self.block_ops[idx + 1:]
+        if not ops:
+            return []
+        sfx = rewind_suffix(
+            [int(OP_CLASS[op]) for op, _a, _e in ops],
+            [op for op, _a, _e in ops] if self.profiling else (),
+            math.fsum(OP_COST[op] for op, _a, _e in ops))
+        return [f"{self.use('rw_')}({sfx})"]
 
     def _frame_lookup(self, base, offset, width):
         """Inline of ``LinearMemory._frame``: resolve ``base + offset``
@@ -405,19 +405,12 @@ class _FnEmitter:
                     mul = f"nb{bi}" if dc == 1 else f"{dc} * nb{bi}"
                     out.emit(f"fprof[{op}] = fprof.get({op}, 0) + {mul}")
 
-    def guarded(self, body_lines, costs, classes, idx):
-        self.out.emit("try:")
-        with self.out.block():
-            for line in body_lines:
-                self.out.emit(line)
-        self.out.emit("except BaseException:")
-        with self.out.block():
-            self.emit_rewind(costs, classes, idx)
-            self.out.emit("raise")
+    def guarded(self, body_lines, idx):
+        self.out.guarded(body_lines, self.rewind(idx))
 
     # -- one straight-line op at static depth d; returns the new depth --
 
-    def emit_op(self, instr, d, costs, classes, idx):
+    def emit_op(self, instr, d, idx):
         op, arg, _extra = instr
         out = self.out
         if op in _MARKERS:
@@ -457,7 +450,8 @@ class _FnEmitter:
             out.emit(f"s{d - 1} = t_")
             return d
         if op == 0:
-            self.emit_rewind(costs, classes, idx)
+            for line in self.rewind(idx):
+                out.emit(line)
             out.emit(f"raise {self.use('TrapError')}"
                      f"('unreachable executed')")
             return d
@@ -510,8 +504,7 @@ class _FnEmitter:
             out.emit(f"{a} = {self.use(f'vf{op}')}({a}, {b})")
             return d - 1
         if op in _TRAP_BINOPS:
-            self.guarded([f"{a} = {self.use(f'vf{op}')}({a}, {b})"],
-                         costs, classes, idx)
+            self.guarded([f"{a} = {self.use(f'vf{op}')}({a}, {b})"], idx)
             return d - 1
         t = f"s{d - 1}"
         if op in (51, 75):
@@ -545,8 +538,7 @@ class _FnEmitter:
             out.emit(f"{t} = {self.use(f'vf{op}')}({t})")
             return d
         if op in _TRAP_UNOPS:
-            self.guarded([f"{t} = {self.use(f'vf{op}')}({t})"],
-                         costs, classes, idx)
+            self.guarded([f"{t} = {self.use(f'vf{op}')}({t})"], idx)
             return d
         if op in _UNOPS:                  # clz / ctz / popcnt
             out.emit(f"{t} = {self.use(f'vf{op}')}({t})")
@@ -567,7 +559,7 @@ class _FnEmitter:
                 body.append(f"s{d - 1} = t_ - 256 if t_ >= 128 else t_")
             else:                         # 23: i32.load16_u
                 body.append(f"s{d - 1} = f_[o_] | (f_[o_ + 1] << 8)")
-            self.guarded(body, costs, classes, idx)
+            self.guarded(body, idx)
             return d
         if op in _STORE_WIDTH:
             width = _STORE_WIDTH[op]
@@ -585,7 +577,7 @@ class _FnEmitter:
                 body.append(f"t_ = {v} & 65535")
                 body.append("f_[o_] = t_ & 255")
                 body.append("f_[o_ + 1] = t_ >> 8")
-            self.guarded(body, costs, classes, idx)
+            self.guarded(body, idx)
             return d - 2
         raise ValidationError(
             f"{self.fn.name}: unknown opcode {op} (codegen tier)")
@@ -645,9 +637,7 @@ class _FnEmitter:
                 out.emit(f"raise {self.use('TrapError')}"
                          f"('codegen: entered unreachable block {bi}')")
                 return
-            ops = self.code[start:end]
-            costs = [OP_COST[op] for op, _a, _e in ops]
-            classes = [int(OP_CLASS[op]) for op, _a, _e in ops]
+            ops = self.block_ops = self.code[start:end]
             d = self.entry_depth[bi]
             if self.budget_mode:
                 out.emit(f"r_ = {self.use('inst')}._instr_budget")
@@ -671,14 +661,15 @@ class _FnEmitter:
                 # counters directly, which deferral does not disturb).
                 out.emit(f"nb{bi} += 1")
                 self.block_counts[bi] = (
-                    math.fsum(costs), len(ops),
-                    list(class_deltas(classes)),
+                    math.fsum(OP_COST[op] for op, _a, _e in ops), len(ops),
+                    list(class_deltas(
+                        [int(OP_CLASS[op]) for op, _a, _e in ops])),
                     list(class_deltas([o for o, _a, _e in ops]))
                     if self.profiling else [])
             has_term = bool(ops) and ops[-1][0] in _TERM_OPS
             body = ops[:-1] if has_term else ops
             for idx, instr in enumerate(body):
-                d = self.emit_op(instr, d, costs, classes, idx)
+                d = self.emit_op(instr, d, idx)
             if has_term:
                 self.emit_term(ops[-1], d, bi, self.bi_of(end))
             else:
@@ -794,6 +785,9 @@ def translate(fn, inst):
     }
     if inst._profile is not None:
         ns["prof_frame"] = inst._profile.frame
+    ns["rw_"] = rewinder(
+        inst.stats, budget=(inst, "_instr_budget") if budget_mode else None,
+        fprof=inst._profile.frame(fn.name) if profiling else None)
     for table in (_VALUE_FNS, _TRAP_BINOPS, _TRAP_UNOPS):
         for op, f in table.items():
             ns[f"vf{op}"] = f

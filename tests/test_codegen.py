@@ -1,8 +1,9 @@
 """Codegen-tier invariants beyond the differential suites: dispatch
 completeness checked against the cost tables, declined functions running
 on the reference ladder, budget-deopt resume mid-frame on the wasm VM,
-GC-pause parity on the JS engine, and cold-vs-warm compile-cache runs
-replaying identical DET counters.
+GC-pause parity on the JS engine, cold-vs-warm compile-cache runs
+replaying identical DET counters (and JS units shared across browser
+profiles), and mid-block trap rewinds.
 
 The two tiers under test (see ``engine/codegen.py``)::
 
@@ -381,9 +382,9 @@ class TestJsGcPauseParity:
 
 
 # ---------------------------------------------------------------------------
-# Cold vs warm compile cache: a warm process loads source + marshalled
-# code objects from the persistent store instead of re-emitting, and the
-# run it serves must replay identical DET counters.
+# Cold vs warm compile cache: a warm process loads marshalled code
+# objects from the persistent store instead of re-emitting, and the run
+# it serves must replay identical DET counters.
 
 class TestColdWarmCache:
     @pytest.fixture(autouse=True)
@@ -409,21 +410,35 @@ class TestColdWarmCache:
         det, sched = reg.export([DET]), reg.export([SCHED])
         return result, det, sched
 
-    def test_warm_hits_replay_identical_det_counters(self, cheerp):
+    def test_warm_hits_replay_identical_det_counters(self, cheerp,
+                                                     monkeypatch):
+        from repro.wasm import codegen as wcg
         from tests.conftest import TINY_C
 
         artifact = cheerp.compile_wasm(TINY_C, name="cgwarm")
         cold_result, cold_det, cold_sched = self._measure(artifact)
         assert cold_sched["interp.wasm.codegen_cache_misses"] > 0
         assert cold_sched.get("interp.wasm.codegen_cache_hits", 0) == 0
+        assert cold_sched["interp.wasm.codegen_source_lines"] > 0
 
         # Dropping the in-process layers models a fresh process over the
         # same store: translation is served from disk, skipping both
         # source generation and compile().
         substrate.reset_cache()
+        calls = []
+        monkeypatch.setattr(substrate, "compile", lambda *a: calls.append(
+            "compile") or compile(*a), raising=False)
+        load = wcg.load_factory
+
+        def load_factory(engine, key, build_source):
+            return load(engine, key,
+                        lambda: calls.append("build") or build_source())
+        monkeypatch.setattr(wcg, "load_factory", load_factory)
         warm_result, warm_det, warm_sched = self._measure(artifact)
+        assert calls == []
         assert warm_sched["interp.wasm.codegen_cache_hits"] > 0
         assert warm_sched.get("interp.wasm.codegen_cache_misses", 0) == 0
+        assert "interp.wasm.codegen_source_lines" not in warm_sched
 
         assert cold_det            # profiling was on: opclass counters
         assert warm_det == cold_det
@@ -449,3 +464,123 @@ class TestColdWarmCache:
         assert warm_sched["interp.js.codegen_cache_hits"] > 0
         assert warm_out == cold_out
         assert warm_stats == cold_stats
+
+    def test_js_units_shared_across_profiles(self, monkeypatch):
+        """JS units carry no tier factors (those ride ``ns``), so a
+        Firefox run reuses every unit a Chrome run built, and each run's
+        stats still equal its own reference-ladder run."""
+        from repro.env import chrome_desktop, firefox_desktop
+        from repro.jsengine.engine import JsEngine
+
+        def run(profile):
+            reset_registry()
+            engine = JsEngine(profile.js)
+            engine.load_script(GC_JS)
+            return ([str(x) for x in engine.console_output],
+                    _stats_dict(engine.stats), engine._profile.to_dict(),
+                    get_registry().export([SCHED]))
+
+        chrome, firefox = chrome_desktop(), firefox_desktop()
+        assert (chrome.js.tier0_factor, chrome.js.tier1_factor) != \
+            (firefox.js.tier0_factor, firefox.js.tier1_factor)
+        cold = run(chrome)
+        assert cold[3]["interp.js.codegen_cache_misses"] > 0
+        shared = run(firefox)
+        assert shared[3].get("interp.js.codegen_cache_misses", 0) == 0
+        _set_tier(monkeypatch, "ref")
+        assert run(chrome)[:3] == cold[:3]
+        assert run(firefox)[:3] == shared[:3]
+
+
+# ---------------------------------------------------------------------------
+# Mid-block trap rewinds: a trap followed, in the same block, by ops the
+# block entry already charged.  The guard's ``rw_`` suffix literal must
+# restore the reference ladder's charge-up-to-the-trap state in every
+# counter it batches — cycles (wasm), instructions, op_counts, the
+# instruction budget and the profile.
+
+def _trap_native(monkeypatch, tier, case):
+    from repro.native.machine import NativeFunction, NativeProgram, _Machine
+
+    _set_tier(monkeypatch, tier)
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    trap = ((5, 2, 1, 0, False) if case == "div0"      # DIVS32 r2 = r1 / r0
+            else (72, 2, 3, 0, False))                 # F2I32 r2 = int(r3)
+    code = [
+        (0, 1, 7, 0, False),              # MOVI r1 = 7
+        (0, 3, 1e300, 0, False),          # MOVI r3 = 1e300
+        trap,
+        (4, 4, 2, 1, True),               # MUL32 (vector-marked)
+        (2, 4, 4, 1, False),              # ADD32
+        (62, 3, 3, 3, True),              # FMUL (vector-marked)
+        (93, -1, 4, 0, False),            # RETV r4
+    ]
+    program = NativeProgram(functions={
+        "main": NativeFunction("main", 1, 5, code, returns_value=True)})
+    machine = _Machine(program, max_instructions=1000)
+    with pytest.raises(TrapError) as info:
+        machine.call("main", 0)
+    return (str(info.value), _stats_dict(machine.stats), machine.budget,
+            machine._profile.to_dict())
+
+
+def _trap_js(monkeypatch, tier):
+    from repro.jsengine.engine import JsEngine
+    from repro.jsengine.interpreter import JsRuntimeError
+    from repro.jsengine.values import UNDEFINED
+
+    _set_tier(monkeypatch, tier)
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    engine = JsEngine()
+    engine.load_script(
+        "function f(o, x) { var y = x * 2 - 1; var z = -y;"
+        " o.p = y - z; return y * x + z; }")
+    with pytest.raises(JsRuntimeError) as info:
+        engine.call_global("f", UNDEFINED, 3.0)
+    return (str(info.value), _stats_dict(engine.stats),
+            engine._profile.to_dict())
+
+
+def _trap_wasm(monkeypatch, tier):
+    from repro.wasm import (
+        FuncType, Function, WasmModule, WasmVM, validate_module,
+    )
+    from repro.wasm.instructions import Op, instr as I
+
+    _set_tier(monkeypatch, tier)
+    monkeypatch.setenv("REPRO_PROFILE", "1")
+    module = WasmModule()
+    module.add_function(Function(
+        "main", FuncType(("i32",), ("i32",)), [],
+        [I(Op.I32_CONST, 4), I(Op.LOCAL_GET, 0), I(Op.I32_ADD),
+         I(Op.I32_CONST, 99), I(Op.I32_STORE, 0),   # out of bounds
+         I(Op.I32_CONST, 5), I(Op.I32_CONST, 6), I(Op.I32_MUL),
+         I(Op.F64_CONST, 1.5), I(Op.F64_CONST, 0.1), I(Op.F64_MUL),
+         I(Op.DROP), I(Op.LOCAL_SET, 0), I(Op.LOCAL_GET, 0)],
+        exported=True))
+    validate_module(module)
+    inst = WasmVM(max_instructions=1000).instantiate(module)
+    with pytest.raises(TrapError) as info:
+        inst.invoke("main", 10 ** 7)
+    return (str(info.value), _stats_dict(inst.stats), inst._instr_budget,
+            inst._profile.to_dict())
+
+
+class TestMidBlockTrapRewinds:
+    @pytest.mark.parametrize("case", ["div0", "f2i"])
+    def test_native_trap_rewinds_suffix(self, monkeypatch, case):
+        runs = {t: _trap_native(monkeypatch, t, case) for t in TIERS}
+        assert runs["ref"][2] < 1000          # budget was spent
+        assert runs["codegen"] == runs["ref"]
+
+    def test_js_trap_after_merged_run_rewinds_suffix(self, monkeypatch):
+        runs = {t: _trap_js(monkeypatch, t) for t in TIERS}
+        assert "cannot set p" in runs["ref"][0]
+        assert runs["codegen"] == runs["ref"]
+
+    def test_wasm_budget_trap_rewinds_suffix(self, monkeypatch):
+        runs = {t: _trap_wasm(monkeypatch, t) for t in TIERS}
+        message, _stats, budget, _profile = runs["ref"]
+        assert "out-of-bounds" in message
+        assert budget < 1000
+        assert runs["codegen"] == runs["ref"]

@@ -134,6 +134,29 @@ def _run_js_osr(threshold):
     return result, fn.tier, engine.stats
 
 
+def _run_js_mixed_osr():
+    """A loop that OSR-promotes mid-call while touching a boxed array,
+    calling a native function and allocating (small GC trigger)."""
+    from repro.engine.hostlib import install_js_host
+    from repro.jsengine import JsEngine
+    from repro.jsengine.config import JsEngineConfig
+
+    engine = JsEngine(JsEngineConfig(backedge_threshold=30,
+                                     gc_trigger_bytes=3000))
+    install_js_host(engine, [])
+    engine.load_script(
+        "function f() { var a = [1, 2, 3, 4, 5]; var s = 0;"
+        " for (var i = 0; i < 80; i++) {"
+        "   var t = [i, s];"
+        "   s = s + a[i % 5] * 0.5 + Math.sqrt(i) + t[0];"
+        "   a[i % 5] = s % 7; }"
+        " return s; }")
+    result = engine.call_global("f")
+    fn = engine.globals["f"]
+    return repr(result), fn.tier, _snap(engine.stats), \
+        engine._profile.to_dict()
+
+
 class TestEngineEdgesDifferential:
     @pytest.mark.parametrize("policy_kwargs", [
         {"tier_up_instructions": 0},
@@ -170,6 +193,26 @@ class TestEngineEdgesDifferential:
             assert stats.tier_up_compile_cycles > 0
             snaps[tier] = _snap(stats)
         assert snaps["ref"] == snaps["codegen"]
+
+    def test_js_one_body_across_osr_charges_both_tiers(self, monkeypatch):
+        """One generated body serves both tiers: it rebinds its charge
+        table after the back-edge that promotes the function mid-call.
+        Boxed-``JSArray`` GETIDX/SETIDX penalties, ``Math.sqrt`` native
+        calls and GC pauses land before and after the promotion, and
+        every one of them must be priced by the tier that ran it."""
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        runs = {}
+        for tier in TIERS:
+            _set_tier(monkeypatch, tier)
+            runs[tier] = _run_js_mixed_osr()
+        result, fn_tier, stats, profile = runs["ref"]
+        assert fn_tier == 1 and stats["tier_ups"] == "1"
+        assert int(stats["gc_runs"]) > 0
+        ops = profile["ops"]["f"]
+        # Both tiers ran GETIDX (37), SETIDX (38) and METHOD (32) calls.
+        for op in (37, 38, 32):
+            assert str(op) in ops and str(op + 256) in ops
+        assert runs["codegen"] == runs["ref"]
 
     def test_js_below_threshold_never_promotes(self, monkeypatch):
         for tier in TIERS:
