@@ -22,6 +22,7 @@ import os
 import pytest
 
 from repro.experiments import ExperimentContext
+from repro.obs import env_flag
 
 
 @pytest.fixture(autouse=True)
@@ -33,9 +34,9 @@ def _result_cache(monkeypatch):
 
 
 def _quick():
-    if os.environ.get("REPRO_QUICK"):
+    if env_flag("REPRO_QUICK"):
         return True
-    return not os.environ.get("REPRO_FULL")
+    return not env_flag("REPRO_FULL")
 
 
 @pytest.fixture(scope="session")

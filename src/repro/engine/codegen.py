@@ -79,7 +79,8 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import marshal
-import os
+
+from repro.obs.envflags import env_flag
 
 #: Bump when the shape of cached translation units changes.
 SCHEMA_VERSION = 2
@@ -92,9 +93,10 @@ DECLINED = object()
 
 
 def fast_interp_enabled():
-    """The ``REPRO_FAST_INTERP`` knob: default on (generated code), ``0``
-    selects the reference ladders (the differential oracle)."""
-    return os.environ.get("REPRO_FAST_INTERP", "1") != "0"
+    """The ``REPRO_FAST_INTERP`` knob: default on (generated code); an
+    explicit off (``0``/``off``/``false``/``no``) selects the reference
+    ladders (the differential oracle)."""
+    return env_flag("REPRO_FAST_INTERP", default=True)
 
 
 def split_blocks(n, leaders):

@@ -4,12 +4,9 @@ The benchmark × configuration grid is embarrassingly parallel: every
 (benchmark, toolchain, opt level, input size, browser profile) cell
 compiles and measures independently, and the engines are deterministic, so
 fanning the grid out across worker processes must — and does — produce
-results identical to serial execution.
+results identical to in-process execution.
 
-A production sweep serving the full 41-benchmark grid cannot afford the
-old ``Pool.map`` failure mode, where one crashed or hung worker aborted
-the whole map and discarded every completed cell.  :func:`run_sweep` is
-the primitive now: an order-preserving map that
+:func:`run_sweep` is an order-preserving map that
 
 * captures per-cell exceptions into structured :class:`CellFailure`
   records (label, error, traceback, attempt count) instead of
@@ -18,21 +15,31 @@ the primitive now: an order-preserving map that
   deterministic exponential backoff — the backoff sleeps happen in the
   scheduler between dispatches, never inside a measured cell, so results
   are unaffected by wall-clock timing;
-* enforces a per-cell timeout (``REPRO_CELL_TIMEOUT``) on the parallel
-  path by killing the hung worker process and spawning a replacement
-  (serial in-process execution cannot kill itself; timeouts need
-  ``jobs >= 2``);
+* enforces a per-cell timeout (``REPRO_CELL_TIMEOUT``) by killing the
+  hung worker process and spawning a replacement;
 * degrades gracefully: the returned :class:`SweepResult` merges all
   successful results in input order and carries the failure report.
+
+One state machine, two executors.  :class:`_Scheduler` owns the attempt
+policy — queueing, backoff, retries, failure records, ``cell`` and
+``cell_dispatch`` events, ``on_result`` and the ``sched.*`` counters —
+and drives either executor; both run each attempt through
+:func:`_attempt`:
+
+* :class:`_Pool` — worker processes fed over pipes; a dead or timed-out
+  worker is killed and replaced; attempts ship their metric diffs back.
+* :class:`_InProcess` — ``jobs=1``: the attempt runs in the calling
+  process when dispatched and books its metrics directly.  A process
+  cannot kill itself, so timeouts need ``jobs >= 2``.
 
 :func:`parallel_map` keeps the strict list-of-results contract on top:
 it raises :class:`~repro.errors.SweepError` — which still carries the
 partial results — if any cell ultimately fails.
 
-Determinism contract (unchanged from the ``Pool.map`` era):
+Determinism contract:
 
 * results come back in input order regardless of completion order, so
-  merged dicts iterate exactly as the serial loop would insert them;
+  merged dicts iterate exactly as a serial loop would insert them;
 * workers share the persistent compile cache on disk — writes are atomic
   and idempotent, so racing workers at worst duplicate a compile;
 * worker callables must be module-level (picklable); cells are dispatched
@@ -57,12 +64,12 @@ from multiprocessing import connection as _mpc
 
 from repro.errors import SweepError
 from repro.obs import (
-    SCHED, TraceContext, emit, emit_span, events_enabled, get_registry,
-    trace_span,
+    SCHED, TraceContext, emit, emit_span, env_float, env_int,
+    events_enabled, get_registry, trace_span,
 )
 
 #: Environment variable selecting the worker count.  Unset: one worker per
-#: CPU.  ``REPRO_JOBS=1``: serial execution in the calling process.
+#: CPU.  ``REPRO_JOBS=1``: in-process execution in the calling process.
 JOBS_ENV = "REPRO_JOBS"
 
 #: Environment variable selecting how many times a failed cell is retried
@@ -70,7 +77,7 @@ JOBS_ENV = "REPRO_JOBS"
 RETRIES_ENV = "REPRO_RETRIES"
 
 #: Environment variable bounding one cell attempt, in seconds (float).
-#: Unset or ``0``: no timeout.  Enforced on the parallel path only.
+#: Unset or ``0``: no timeout.  Enforced by the worker pool only.
 CELL_TIMEOUT_ENV = "REPRO_CELL_TIMEOUT"
 
 #: Environment variable carrying a :class:`FaultPlan` spec, e.g.
@@ -90,38 +97,20 @@ _HANG_TOTAL_S = 3600.0
 
 
 def default_jobs():
-    """Worker count from ``REPRO_JOBS``, else the CPU count."""
-    env = os.environ.get(JOBS_ENV, "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    """Worker count from ``REPRO_JOBS`` (at least 1), else the CPU count."""
+    return env_int(JOBS_ENV, default=os.cpu_count() or 1, minimum=1)
 
 
 def default_retries():
-    """Retry budget per cell from ``REPRO_RETRIES``, else 1."""
-    env = os.environ.get(RETRIES_ENV, "").strip()
-    if env:
-        try:
-            return max(0, int(env))
-        except ValueError:
-            pass
-    return 1
+    """Retry budget per cell from ``REPRO_RETRIES`` (at least 0), else 1."""
+    return env_int(RETRIES_ENV, default=1, minimum=0)
 
 
 def default_cell_timeout():
     """Per-cell timeout in seconds from ``REPRO_CELL_TIMEOUT``, else
-    ``None`` (no timeout)."""
-    env = os.environ.get(CELL_TIMEOUT_ENV, "").strip()
-    if env:
-        try:
-            seconds = float(env)
-            return seconds if seconds > 0 else None
-        except ValueError:
-            pass
-    return None
+    ``None`` (no timeout; also for values that are not ``> 0``)."""
+    seconds = env_float(CELL_TIMEOUT_ENV)
+    return seconds if seconds > 0 else None
 
 
 def backoff_delay(attempt, base=BACKOFF_BASE_S, cap=BACKOFF_CAP_S):
@@ -300,24 +289,46 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# Worker side
+# Executors
 # ---------------------------------------------------------------------------
 
 
+def _attempt(fn, plan, task, catch):
+    """Run one attempt of one cell; the body both executors share.
+
+    ``task`` is ``(index, attempt, label, item, trace)``.  The registry is
+    snapshotted first; the attempt then runs inside a ``sched.attempt``
+    span (activated, so engine phase events nest under it, with the
+    deterministic id the scheduler re-derives if it has to kill a
+    worker), any injected fault fires, and ``fn(item)`` runs.  An
+    exception matching ``catch`` restores the snapshot, so a failed
+    attempt leaves no metric residue.  Returns ``(message, snap)`` where
+    ``message`` is ``("ok", index, value)`` or ``("err", index, error,
+    text, traceback)``."""
+    index, attempt, label, item, trace = task
+    reg = get_registry()
+    snap = reg.snapshot()
+    try:
+        with trace_span("sched.attempt", ctx=TraceContext.from_wire(trace),
+                        parts=(attempt,), label=label, attempt=attempt):
+            if plan is not None:
+                plan.apply(label, attempt)
+            value = fn(item)
+    except catch as exc:
+        reg.restore(snap)
+        return ("err", index, type(exc).__name__, str(exc),
+                traceback.format_exc()), snap
+    return ("ok", index, value), snap
+
+
 def _worker_main(conn, fn, plan_spec):
-    """Worker loop: receive ``(index, attempt, label, item, trace)``
-    tasks, run them, report ``("ok", index, value, metrics)`` or
-    ``("err", index, ...)``.  ``metrics`` is the registry diff the attempt
-    produced; the scheduler applies the per-cell diffs in *input* order so
-    the merged registry is byte-identical to a serial run.  A failed
-    attempt restores the worker's registry to its pre-attempt snapshot, so
-    retried flakes leave no metric residue.  ``trace`` is an optional
-    :class:`~repro.obs.TraceContext` wire tuple: when present the attempt
-    runs inside a ``sched.attempt`` span (activated, so engine phase
-    events nest under it) whose deterministic id the scheduler can
-    re-derive if it has to kill this worker.  The worker never dies on a
-    cell exception — only on EOF/sentinel or when the scheduler kills
-    it."""
+    """Worker loop: receive tasks, run each through :func:`_attempt`,
+    report ``("ok", index, value, metrics)`` or ``("err", index, ...)``.
+    ``metrics`` is the registry diff the attempt produced; the scheduler
+    applies the per-cell diffs in *input* order so the merged registry is
+    byte-identical to an in-process run.  The worker catches
+    ``BaseException`` and so never dies on a cell — only on EOF/sentinel
+    or when the scheduler kills it."""
     plan = FaultPlan(plan_spec) if plan_spec else None
     reg = get_registry()
     while True:
@@ -327,26 +338,15 @@ def _worker_main(conn, fn, plan_spec):
             return
         if task is None:
             return
-        index, attempt, label, item, trace = task
-        ctx = TraceContext.from_wire(trace)
-        snap = reg.snapshot()
-        try:
-            with trace_span("sched.attempt", ctx=ctx, parts=(attempt,),
-                            label=label, attempt=attempt):
-                if plan is not None:
-                    plan.apply(label, attempt)
-                value = fn(item)
-            message = ("ok", index, value, reg.diff(snap))
-        except BaseException as exc:
-            reg.restore(snap)
-            message = ("err", index, type(exc).__name__, str(exc),
-                       traceback.format_exc())
+        message, snap = _attempt(fn, plan, task, BaseException)
+        if message[0] == "ok":
+            message += (reg.diff(snap),)
         try:
             conn.send(message)
         except Exception as exc:
             # The value itself failed to pickle: report that as the
             # cell's error rather than silently dying.
-            conn.send(("err", index, type(exc).__name__,
+            conn.send(("err", task[0], type(exc).__name__,
                        f"result not sendable: {exc}",
                        traceback.format_exc()))
 
@@ -360,7 +360,7 @@ def _pool_context():
 
 
 class _Worker:
-    """One scheduler-owned worker process plus its task pipe."""
+    """One pool slot: a worker process plus its task pipe."""
 
     def __init__(self, ctx, fn, plan_spec):
         self.conn, child = ctx.Pipe()
@@ -368,16 +368,23 @@ class _Worker:
                                    args=(child, fn, plan_spec), daemon=True)
         self.process.start()
         child.close()
+        self.pid = self.process.pid
         self.task = None           # (index, attempt) while busy
         self.deadline = None       # monotonic kill time while busy
         self.dispatched_ts = None  # epoch time of the in-flight dispatch
 
-    def dispatch(self, index, attempt, label, item, timeout, trace=None):
-        self.task = (index, attempt)
+    def dispatch(self, task, timeout):
+        self.task = task[:2]
         self.deadline = (time.monotonic() + timeout) if timeout else None
         self.dispatched_ts = time.time()
-        self.conn.send((index, attempt, label, item,
-                        trace.to_wire() if trace is not None else None))
+        self.conn.send(task)
+
+    def recv(self):
+        """The attempt's message, or ``None`` if the worker died."""
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
 
     def kill(self):
         try:
@@ -400,23 +407,97 @@ class _Worker:
         self.kill()
 
 
+class _Pool:
+    """Worker-process executor: ``jobs`` workers fed over pipes.  A worker
+    that dies mid-attempt, or whose attempt outlives the cell timeout, is
+    killed and replaced by the scheduler."""
+
+    def __init__(self, fn, plan, jobs):
+        self.ctx = _pool_context()
+        self.fn = fn
+        self.plan_spec = plan.spec() if plan else None
+        self.slots = [self._spawn() for _ in range(jobs)]
+
+    def _spawn(self):
+        return _Worker(self.ctx, self.fn, self.plan_spec)
+
+    def ready(self, busy):
+        """Busy slots with a message (or EOF) to collect; blocks until
+        there is one or the earliest deadline passes."""
+        deadlines = [w.deadline for w in busy if w.deadline is not None]
+        timeout = (max(0.0, min(deadlines) - time.monotonic())
+                   if deadlines else None)
+        ready = _mpc.wait([w.conn for w in busy], timeout=timeout)
+        return [w for w in busy if w.conn in ready]
+
+    def expired(self):
+        now = time.monotonic()
+        return [w for w in self.slots if w.task is not None
+                and w.deadline is not None and now >= w.deadline]
+
+    def replace(self, worker):
+        worker.kill()
+        self.slots[self.slots.index(worker)] = self._spawn()
+
+    def close(self):
+        for worker in self.slots:
+            worker.shutdown()
+
+
+class _InProcess:
+    """In-process executor, and its own single slot: an attempt runs to
+    completion inside :meth:`dispatch`.  Its metrics land in the registry
+    directly, so ``ok`` messages carry no diff.  The calling process
+    cannot kill itself, so no timeout is enforced and nothing is ever
+    expired or replaced.  Only ``Exception`` is caught, so
+    ``KeyboardInterrupt`` still stops the sweep."""
+
+    def __init__(self, fn, plan):
+        self.fn = fn
+        self.plan = plan
+        self.pid = os.getpid()
+        self.slots = [self]
+        self.task = None
+        self.message = None
+
+    def dispatch(self, task, timeout):
+        self.task = task[:2]
+        self.message, _snap = _attempt(self.fn, self.plan, task, Exception)
+        if self.message[0] == "ok":
+            self.message += (None,)
+
+    def recv(self):
+        return self.message
+
+    def ready(self, busy):
+        return busy
+
+    def expired(self):
+        return ()
+
+    def close(self):
+        pass
+
+
 # ---------------------------------------------------------------------------
 # The scheduler
 # ---------------------------------------------------------------------------
 
 
 class _Scheduler:
-    def __init__(self, fn, items, labels, jobs, retries, timeout,
-                 fault_plan, sleep, on_result=None, traces=None):
-        self.fn = fn
+    """The attempt state machine: queueing, backoff, retries, failure
+    records, ``cell``/``cell_dispatch`` events, ``on_result`` and the
+    end-of-sweep ``sched.*`` counters, over either executor."""
+
+    def __init__(self, executor, items, labels, retries, timeout, sleep,
+                 on_result=None, traces=None):
+        self.executor = executor
         self.on_result = on_result
         self.items = items
         self.labels = labels
         self.traces = traces      # per-cell TraceContext (or None), aligned
-        self.jobs = jobs
         self.retries = retries
         self.timeout = timeout
-        self.plan_spec = fault_plan.spec() if fault_plan else None
         self.sleep = sleep
         self.values = [None] * len(items)
         self.failures = {}
@@ -428,27 +509,23 @@ class _Scheduler:
         self.start = time.monotonic()
 
     def run(self):
-        ctx = _pool_context()
-        workers = [self._spawn(ctx) for _ in range(self.jobs)]
+        executor = self.executor
         try:
             while self.done < len(self.items):
-                self._dispatch(workers)
-                busy = [w for w in workers if w.task is not None]
+                self._dispatch()
+                busy = [s for s in executor.slots if s.task is not None]
                 if not busy:
                     break  # defensive: nothing queued, nothing running
-                ready = _mpc.wait([w.conn for w in busy],
-                                  timeout=self._wait_timeout(busy))
-                for worker in busy:
-                    if worker.conn in ready:
-                        self._collect(worker, workers, ctx)
-                self._reap_timeouts(workers, ctx)
+                for slot in executor.ready(busy):
+                    self._collect(slot)
+                for slot in executor.expired():
+                    self._timed_out(slot)
         finally:
-            for worker in workers:
-                worker.shutdown()
+            executor.close()
         failures = [self.failures[i] for i in sorted(self.failures)]
         # Merge the workers' metric diffs in *input* order: the resulting
         # registry state is independent of completion order and identical
-        # to what the serial path accumulates.
+        # to what in-process attempts book directly.
         reg = get_registry()
         for payload in self.metric_payloads:
             if payload is not None:
@@ -463,9 +540,6 @@ class _Scheduler:
             reg.counter_add("sched.failures", len(failures), SCHED)
         return SweepResult(self.values, failures)
 
-    def _spawn(self, ctx):
-        return _Worker(ctx, self.fn, self.plan_spec)
-
     def _trace(self, index):
         return self.traces[index] if self.traces is not None else None
 
@@ -473,9 +547,9 @@ class _Scheduler:
         ctx = self._trace(index)
         return ctx.fields() if ctx is not None else {}
 
-    def _dispatch(self, workers):
-        for worker in workers:
-            if worker.task is None and self.queue:
+    def _dispatch(self):
+        for slot in self.executor.slots:
+            if slot.task is None and self.queue:
                 index, attempt = self.queue.popleft()
                 delay = self.backoff.pop(index, 0.0)
                 if delay:
@@ -486,40 +560,29 @@ class _Scheduler:
                                             SCHED)
                 if events_enabled():
                     emit("cell_dispatch", label=self.labels[index],
-                         index=index, attempt=attempt,
-                         worker=worker.process.pid,
+                         index=index, attempt=attempt, worker=slot.pid,
                          queue_wait_ms=round(wait_ms, 3),
                          **self._trace_fields(index))
-                worker.dispatch(index, attempt, self.labels[index],
-                                self.items[index], self.timeout,
-                                trace=self._trace(index))
+                trace = self._trace(index)
+                slot.dispatch((index, attempt, self.labels[index],
+                               self.items[index],
+                               trace.to_wire() if trace is not None
+                               else None), self.timeout)
 
-    def _wait_timeout(self, busy):
-        if not self.timeout:
-            return None
-        deadlines = [w.deadline for w in busy if w.deadline is not None]
-        if not deadlines:
-            return None
-        return max(0.0, min(deadlines) - time.monotonic())
-
-    def _collect(self, worker, workers, ctx):
+    def _collect(self, slot):
         """Consume one message (or the EOF of a dead worker)."""
-        index, attempt = worker.task
-        try:
-            message = worker.conn.recv()
-        except (EOFError, OSError):
+        index, attempt = slot.task
+        message = slot.recv()
+        if message is None:
             # The worker died without reporting (hard crash).  Replace it
             # and account the in-flight attempt as lost.
-            started = worker.dispatched_ts or time.time()
-            self._replace(worker, workers, ctx)
-            self._emit_dead_attempt(index, attempt, started, "lost")
+            self._kill(slot, "lost")
             self._attempt_failed(
                 index, attempt, "WorkerDied",
                 "worker process died while running this cell", "",
                 kind="lost")
             return
-        worker.task = None
-        worker.deadline = None
+        slot.task = None
         if message[0] == "ok":
             self.values[index] = message[2]
             self.metric_payloads[index] = message[3]
@@ -527,19 +590,29 @@ class _Scheduler:
             get_registry().hist_observe("sched.attempts", attempt, SCHED)
             if events_enabled():
                 emit("cell", label=self.labels[index], index=index,
-                     attempts=attempt, outcome="ok",
-                     worker=worker.process.pid,
+                     attempts=attempt, outcome="ok", worker=slot.pid,
                      **self._trace_fields(index))
             self._notify(index, message[2], None)
         else:
             _tag, _index, error, text, trace = message
             self._attempt_failed(index, attempt, error, text, trace)
 
-    def _emit_dead_attempt(self, index, attempt, started, outcome):
-        """The worker running this attempt died (timeout kill or hard
-        crash), so its ``sched.attempt`` span never closed.  Ids are
-        deterministic, so the scheduler re-derives the same span id the
-        worker would have emitted and closes the span on its behalf."""
+    def _timed_out(self, slot):
+        index, attempt = slot.task
+        self._kill(slot, "timeout")
+        self._attempt_failed(
+            index, attempt, "Timeout",
+            f"cell exceeded {self.timeout:g}s; worker killed and "
+            "replaced", "", kind="timeout")
+
+    def _kill(self, slot, outcome):
+        """Replace the worker running this attempt (timeout kill or hard
+        crash).  Its ``sched.attempt`` span never closed; ids are
+        deterministic, so the scheduler re-derives the span id the worker
+        would have emitted and closes the span on its behalf."""
+        index, attempt = slot.task
+        started = slot.dispatched_ts or time.time()
+        self.executor.replace(slot)
         cell_ctx = self._trace(index)
         if cell_ctx is None:
             return
@@ -547,26 +620,6 @@ class _Scheduler:
         emit_span(span_ctx, "sched.attempt", started,
                   time.time() - started, outcome=outcome,
                   label=self.labels[index], attempt=attempt)
-
-    def _reap_timeouts(self, workers, ctx):
-        if not self.timeout:
-            return
-        now = time.monotonic()
-        for worker in workers:
-            if worker.task is None or now < worker.deadline:
-                continue
-            index, attempt = worker.task
-            started = worker.dispatched_ts or time.time()
-            self._replace(worker, workers, ctx)
-            self._emit_dead_attempt(index, attempt, started, "timeout")
-            self._attempt_failed(
-                index, attempt, "Timeout",
-                f"cell exceeded {self.timeout:g}s; worker killed and "
-                "replaced", "", kind="timeout")
-
-    def _replace(self, worker, workers, ctx):
-        worker.kill()
-        workers[workers.index(worker)] = self._spawn(ctx)
 
     def _attempt_failed(self, index, attempt, error, text, trace,
                         kind="crash"):
@@ -603,79 +656,13 @@ class _Scheduler:
             pass
 
 
-def _serial_sweep(fn, items, labels, retries, fault_plan, sleep,
-                  on_result=None, traces=None):
-    """In-process reference path (``jobs=1``).  Same retry/injection
-    semantics; per-cell timeouts are not enforced (the scheduler cannot
-    kill its own process)."""
-    values = [None] * len(items)
-    failures = []
-    reg = get_registry()
-
-    def notify(index, value, failure):
-        if on_result is None:
-            return
-        try:
-            on_result(index, labels[index], value, failure)
-        except Exception:
-            pass
-
-    def trace_fields(index):
-        if traces is None or traces[index] is None:
-            return {}
-        return traces[index].fields()
-
-    for index, item in enumerate(items):
-        cell_ctx = traces[index] if traces is not None else None
-        for attempt in range(1, retries + 2):
-            # Same metric semantics as the worker path: a failed attempt
-            # rolls the registry back, so only completed attempts count.
-            snap = reg.snapshot()
-            try:
-                with trace_span("sched.attempt", ctx=cell_ctx,
-                                parts=(attempt,), label=labels[index],
-                                attempt=attempt):
-                    if fault_plan is not None:
-                        fault_plan.apply(labels[index], attempt)
-                    values[index] = fn(item)
-                reg.hist_observe("sched.attempts", attempt, SCHED)
-                if events_enabled():
-                    emit("cell", label=labels[index], index=index,
-                         attempts=attempt, outcome="ok", worker=os.getpid(),
-                         **trace_fields(index))
-                notify(index, values[index], None)
-                break
-            except Exception as exc:
-                reg.restore(snap)
-                if attempt <= retries:
-                    reg.counter_add("sched.retries", 1, SCHED)
-                    sleep(backoff_delay(attempt))
-                    continue
-                failures.append(CellFailure(
-                    index=index, label=labels[index],
-                    error=type(exc).__name__, message=str(exc),
-                    traceback=traceback.format_exc(), attempts=attempt))
-                reg.hist_observe("sched.attempts", attempt, SCHED)
-                if events_enabled():
-                    emit("cell", label=labels[index], index=index,
-                         attempts=attempt, outcome="crash",
-                         error=type(exc).__name__, **trace_fields(index))
-                notify(index, None, failures[-1])
-    reg.counter_add("sched.cells", len(items), SCHED)
-    reg.counter_add("sched.completed", len(items) - len(failures), SCHED)
-    reg.counter_add("sched.retries", 0, SCHED)
-    if failures:
-        reg.counter_add("sched.failures", len(failures), SCHED)
-    return SweepResult(values, failures)
-
-
 def run_sweep(fn, items, jobs=None, retries=None, timeout=None, labels=None,
               fault_plan=None, sleep=None, on_result=None, traces=None):
     """Fault-tolerant order-preserving map over ``items``.
 
     Returns a :class:`SweepResult`; never raises for cell failures.
     ``fn`` must be picklable (a module-level function or a
-    ``functools.partial`` over one) when the parallel path is taken.
+    ``functools.partial`` over one) when the worker pool is used.
     ``labels`` names the cells for failure reports and fault injection
     (default: the item's index as a string).  ``sleep`` is injectable for
     tests; backoff sleeps only ever run in the scheduler process.
@@ -684,8 +671,8 @@ def run_sweep(fn, items, jobs=None, retries=None, timeout=None, labels=None,
     in the scheduler process the moment a cell finishes (exhausting its
     retries counts as finishing, with ``failure`` set and ``value``
     ``None``).  The sweep service streams per-cell results to clients
-    from this hook instead of waiting for the whole sweep; note the
-    cell's worker metrics are only merged into the registry when the
+    from this hook instead of waiting for the whole sweep; note a
+    worker's cell metrics are only merged into the registry when the
     sweep completes, so the hook must not read cell metrics.  A raising
     callback is ignored.
 
@@ -722,14 +709,15 @@ def run_sweep(fn, items, jobs=None, retries=None, timeout=None, labels=None,
         return SweepResult([], [])
     requested = jobs
     jobs = min(jobs, len(items))
-    # Serial (in-process) execution is the reference path, but it cannot
-    # enforce timeouts; when the caller asked for workers *and* a timeout
-    # is armed, keep even a one-cell sweep on the worker path.
+    # In-process execution cannot enforce timeouts; when the caller asked
+    # for workers *and* a timeout is armed, keep even a one-cell sweep on
+    # the worker pool.
     if jobs <= 1 and not (timeout and requested > 1):
-        return _serial_sweep(fn, items, labels, retries, fault_plan, sleep,
-                             on_result, traces)
-    return _Scheduler(fn, items, labels, max(jobs, 1), retries, timeout,
-                      fault_plan, sleep, on_result, traces).run()
+        executor = _InProcess(fn, fault_plan)
+    else:
+        executor = _Pool(fn, fault_plan, max(jobs, 1))
+    return _Scheduler(executor, items, labels, retries, timeout, sleep,
+                      on_result, traces).run()
 
 
 def parallel_map(fn, items, jobs=None):

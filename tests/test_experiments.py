@@ -6,6 +6,7 @@ structure plus the paper findings that are cheap to check.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +15,11 @@ from repro.experiments import (
     figure10_jit_improvement, figure5_opt_levels, table11_chrome_flags,
     table2_summary, table7_tier_comparison,
 )
-from repro.experiments.common import QUICK_SET
+from repro.experiments.common import QUICK_ENV, QUICK_SET
 from repro.experiments.input_sizes import input_size_tables
 from repro.suites import benchmark_names
+
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -64,6 +67,28 @@ def test_table11_flag_catalogue():
     assert "--liftoff" in result["text"]
     assert any(flags.wasm_optimizing_only
                for _s, _f, flags in result["data"])
+
+
+@pytest.mark.parametrize("name, render", [
+    ("sec45_context_switch", context_switch_overhead),
+    ("table11_chrome_flags", table11_chrome_flags),
+])
+def test_committed_report_matches_head(name, render):
+    # The cheap reports re-render in well under a second; the committed
+    # copies under results/ must be what this code prints.
+    committed = (RESULTS / f"{name}.txt").read_text()
+    assert render()["text"] + "\n" == committed
+
+
+@pytest.mark.parametrize("raw, quick", [
+    (None, False), ("0", False), ("off", False), ("1", True),
+])
+def test_quick_knob_spellings(monkeypatch, raw, quick):
+    if raw is None:
+        monkeypatch.delenv(QUICK_ENV, raising=False)
+    else:
+        monkeypatch.setenv(QUICK_ENV, raw)
+    assert ExperimentContext().quick is quick
 
 
 class TestOptLevels:

@@ -11,9 +11,11 @@ from repro.errors import SweepError
 from repro.experiments import ExperimentContext, figure5_opt_levels
 from repro.harness.parallel import (
     CELL_TIMEOUT_ENV, CellFailure, FAULT_INJECT_ENV, FaultPlan,
-    InjectedFault, RETRIES_ENV, SweepResult, backoff_delay,
-    default_cell_timeout, default_retries, run_sweep,
+    InjectedFault, JOBS_ENV, RETRIES_ENV, SweepResult, backoff_delay,
+    default_cell_timeout, default_jobs, default_retries, run_sweep,
 )
+from repro.obs import add_listener, get_registry, remove_listener, \
+    reset_registry
 from repro.suites import all_benchmarks
 
 
@@ -23,6 +25,10 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"boom {x!r}")
+
+
+def _interrupt(x):
+    raise KeyboardInterrupt
 
 
 # ---------------------------------------------------------------------------
@@ -121,6 +127,11 @@ class TestRetries:
         assert sweep.ok and sweep.values == [1, 4, 9]
         assert delays == [backoff_delay(1)]
 
+    def test_in_process_keyboard_interrupt_propagates(self):
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(_interrupt, [1], jobs=1, retries=1,
+                      sleep=lambda _d: None)
+
     def test_exhaustion_counts_attempts(self):
         sweep = run_sweep(_boom, [5], jobs=1, retries=3,
                           sleep=lambda _d: None)
@@ -181,6 +192,15 @@ class TestTimeouts:
         monkeypatch.delenv(CELL_TIMEOUT_ENV)
         assert default_cell_timeout() is None
 
+    def test_knobs_clamp_out_of_range_values(self, monkeypatch):
+        monkeypatch.setenv(JOBS_ENV, "0")
+        assert default_jobs() == 1
+        monkeypatch.setenv(RETRIES_ENV, "-3")
+        assert default_retries() == 0
+        for raw in ("-1", "nan"):
+            monkeypatch.setenv(CELL_TIMEOUT_ENV, raw)
+            assert default_cell_timeout() is None
+
 
 class TestWorkerDeath:
     def test_dead_worker_reported_and_replaced(self):
@@ -208,6 +228,37 @@ class TestFaultFreeParity:
         parallel = run_sweep(_square, items, jobs=4)
         assert serial.ok and parallel.ok
         assert parallel.values == serial.values
+
+    def test_in_process_and_pool_share_one_attempt_loop(self):
+        # One state machine drives both executors: a flaky sweep streams
+        # the same dispatch/cell lifecycle and books the same sched.*
+        # metrics whether its attempts run in-process or in workers.
+        def lifecycle(jobs):
+            records = []
+            token = add_listener(records.append)
+            reset_registry()
+            try:
+                sweep = run_sweep(_square, [1, 2, 3], jobs=jobs, retries=1,
+                                  labels=["a", "b", "c"],
+                                  fault_plan=FaultPlan({"b": "flake:1"}),
+                                  sleep=lambda _d: None)
+            finally:
+                remove_listener(token)
+            assert sweep.ok and sweep.values == [1, 4, 9]
+            events = sorted(
+                (r["event"], r["label"], r.get("attempt", r.get("attempts")),
+                 r.get("outcome"))
+                for r in records if r["event"] in ("cell_dispatch", "cell"))
+            names = {name for name in get_registry().export()
+                     if name.startswith("sched.")}
+            return events, names
+
+        in_process = lifecycle(jobs=1)
+        assert in_process == lifecycle(jobs=2)
+        events, names = in_process
+        assert ("cell_dispatch", "b", 2, None) in events
+        assert ("cell", "b", 2, "ok") in events
+        assert "sched.queue_wait_ms" in names
 
     def test_armed_but_unmatched_plan_changes_nothing(self):
         plan = FaultPlan({"no-such-cell": "crash"})

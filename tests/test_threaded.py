@@ -45,6 +45,11 @@ class TestKnob:
         monkeypatch.setenv("REPRO_FAST_INTERP", "0")
         assert not substrate.fast_interp_enabled()
 
+    @pytest.mark.parametrize("raw", ["off", "false", "OFF"])
+    def test_off_spellings_select_reference(self, monkeypatch, raw):
+        monkeypatch.setenv("REPRO_FAST_INTERP", raw)
+        assert not substrate.fast_interp_enabled()
+
 
 class TestDispatchCompleteness:
     """Cost tables ⊆ codegen tier ⊆ reference ladder, per engine."""
